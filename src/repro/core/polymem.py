@@ -7,25 +7,28 @@ access through every port: up to one write plus one read per read port, all
 independent (paper §III-B: "one write access and one read access for each
 read port can happen independently at the same time").
 
-Three access paths exist:
+Four access paths exist:
 
-* the **architectural path** (:meth:`step`, :meth:`read`, :meth:`write`) —
-  one access at a time.  By default each access applies a compiled
+* the **serial oracle** — :meth:`step` with ``use_plans = False``: every
+  access re-derives the AGU expansion, the MAF, the conflict check and
+  routes data through explicit :class:`~repro.core.shuffle.Shuffle`
+  objects.  Every other path is property-tested against it;
+* the **planned step** (:meth:`step`, :meth:`read`, :meth:`write`, the
+  default) — one access at a time on a compiled
   :class:`~repro.core.plan.AccessPlan` (the anchor-invariant bank/address/
   shuffle structure, cached per access family — the software analogue of
-  the fixed combinational logic of Fig. 3); setting ``use_plans = False``
-  re-derives everything per access and routes data through explicit
-  :class:`~repro.core.shuffle.Shuffle` objects, which is the reference
-  behaviour the planned path is property-tested against;
+  the fixed combinational logic of Fig. 3).  The scalar tick simulator
+  issues one per simulated cycle;
 * the **batch path** (:meth:`read_batch`, :meth:`write_batch`) — a
-  vectorized fast path for simulation throughput that fancy-indexes the
-  bank array directly; it is bit-identical to the architectural path
-  (property-tested) and counts cycles the same way;
-* the **replay path** (:meth:`replay`) — executes a whole
+  vectorized fast path for the batched tick engine that fancy-indexes the
+  bank array directly and counts cycles the same way;
+* the **trace executor** (:meth:`replay`) — executes a whole
   :class:`~repro.core.plan.AccessTrace` (multi-port reads plus a write
-  stream, N cycles) as fancy-indexed NumPy operations, bit-identical to N
-  serial :meth:`step` calls including collision policies, statistics and
-  error behaviour.
+  stream, N cycles) by deriving its
+  :class:`~repro.core.plan.TraceKernel` and running it as fancy-indexed
+  NumPy operations, bit-identical to N serial :meth:`step` calls
+  including collision policies, statistics and error behaviour.  The
+  program engine runs the same executor from cached kernels.
 
 The naming convention for shuffles follows the implementation, not the
 paper's signal convention: our reordering signal is the lane→bank
@@ -55,7 +58,14 @@ from .exceptions import (
     SimulationError,
 )
 from .patterns import PatternKind
-from .plan import AccessPlan, AccessTrace, compile_plan
+from .plan import (
+    AccessPlan,
+    AccessTrace,
+    TraceKernel,
+    compile_plan,
+    derive_kernel,
+    run_kernel,
+)
 from .schemes import SCHEME_SPECS, flat_module_assignment
 from .shuffle import InverseShuffle, Shuffle
 from ..telemetry import context as _telemetry
@@ -89,12 +99,6 @@ class PolyMem:
 
     #: same-cycle read/write collision policies (Xilinx BRAM port semantics)
     COLLISION_POLICIES = ("read_first", "write_first", "forbid")
-
-    #: :meth:`replay` keeps two dense per-slot tables (cycle + value) when
-    #: the memory has at most this many bank slots *and* the trace writes
-    #: no slot twice; beyond it (or with repeated slots) it falls back to
-    #: the event-sort resolution
-    DENSE_SLOT_LIMIT = 1 << 21
 
     def __init__(self, config: PolyMemConfig, collision_policy: str = "read_first"):
         if collision_policy not in self.COLLISION_POLICIES:
@@ -452,22 +456,6 @@ class PolyMem:
             m.counter("polymem.parallel_accesses").inc(n)
 
     # -- whole-trace replay ----------------------------------------------------
-    def _expand_stream(self, stream):
-        """Expand one trace stream into ``(slots, valid)`` arrays.
-
-        ``slots`` holds flat ``bank * depth + address`` ids, ``(n, lanes)``;
-        ``valid[t]`` is True when cycle *t*'s access is in bounds and
-        conflict-free.  Slot rows are computed unconditionally (the residue
-        tables accept any anchor, producing garbage ids on invalid rows),
-        but are only *used* to touch memory when the whole trace is valid.
-
-        The expansion itself lives on the stream
-        (:meth:`repro.core.plan._Stream.tables` /
-        :func:`repro.core.plan.stream_tables`) so the fusion backend can
-        precompute the same tables without a PolyMem in hand.
-        """
-        return stream.tables(self.plan)
-
     def replay(self, trace: AccessTrace) -> dict[int, np.ndarray]:
         """Execute a whole :class:`AccessTrace` as vectorized operations.
 
@@ -476,7 +464,9 @@ class PolyMem:
         cycle/port accounting, same collision-policy semantics (including
         the exact error, partial statistics and partial memory state when a
         cycle is invalid) — but executed as a handful of whole-trace
-        fancy-indexed NumPy operations.
+        fancy-indexed NumPy operations: the trace's kernel is derived
+        (:func:`~repro.core.plan.derive_kernel`, uncached) and run
+        (:func:`~repro.core.plan.run_kernel`).
 
         Returns a dict mapping each read port to its ``(n, lanes)`` result
         matrix (row *t* is what ``step`` cycle *t* would have returned).
@@ -491,148 +481,31 @@ class PolyMem:
             return self._replay(trace)
 
     def _replay(self, trace: AccessTrace) -> dict[int, np.ndarray]:
-        n = trace.n
         for port in trace.read_ports:
             if not 0 <= port < self.read_ports:
                 raise PortError(
                     f"read port {port} out of range [0, {self.read_ports})"
                 )
-        if n == 0:
+        if trace.n == 0:
             return {
                 port: np.empty((0, self.lanes), dtype=self.banks.dtype)
                 for port in trace.read_ports
             }
-        depth = self.banks.bank_depth
-        reads = {
-            port: self._expand_stream(stream)
-            for port, stream in trace._reads.items()
-        }
-        bad = np.zeros(n, dtype=bool)
-        for _, (_, valid) in reads.items():
-            bad |= ~valid
-        w_slots = w_values = None
-        if trace.has_write:
-            w_stream = trace._write
-            w_expanded, w_valid = self._expand_stream(w_stream)
-            bad |= ~w_valid
-            w_values = np.asarray(w_stream.values)
-            if w_values.shape[1] != self.lanes:
-                bad[0] = True  # step() raises the shape PatternError there
-            else:
-                w_slots = w_expanded
-        # Read/write resolution needs, per read element (slot, t), the
-        # latest write to that slot before (or at) cycle t.  Fast path:
-        # when no slot is written twice in the whole trace, a dense
-        # per-slot table answers that with two gathers — no sorting at
-        # all.  General path: order write events by key
-        # slot * (n + 1) + cycle (slot-major, then time; keys are unique
-        # because one valid cycle's write slots are distinct) and binary
-        # search for exact predecessors.
-        kw_sorted = w_order = last_t = last_val = None
-        if w_slots is not None:
-            t_col = np.arange(n, dtype=np.int64)[:, None]
-            flat_w = w_slots.ravel()
-            total_slots = self.lanes * depth
-            # invalid cycles expand to out-of-range slot ids the dense
-            # tables cannot index; the event keys tolerate them, so traces
-            # headed for the serial error fallback take the event path
-            if total_slots <= self.DENSE_SLOT_LIMIT and not bad.any():
-                # sentinel n ("written later than every cycle") instead of
-                # -1 keeps the fold to a single comparison per element;
-                # int32 halves the table the fold gathers from
-                last_t = np.full(total_slots, n, dtype=np.int32)
-                last_t[w_slots] = t_col
-                if int(np.count_nonzero(last_t != n)) == flat_w.size:
-                    last_val = np.empty(total_slots, dtype=self.banks.dtype)
-                    last_val[w_slots] = w_values
-                else:
-                    last_t = None  # a slot is written twice: event path
-            if last_t is None:
-                kw = (w_slots * (n + 1) + t_col).ravel()
-                w_order = np.argsort(kw)
-                kw_sorted = kw[w_order]
-            if self.collision_policy == "forbid" and not bad.all():
-                for port, (r_slots, _) in reads.items():
-                    if last_t is not None:
-                        hit = last_t[r_slots] == t_col
-                    else:
-                        kr = r_slots * (n + 1) + t_col
-                        pos = np.searchsorted(kw_sorted, kr.ravel())
-                        pos = np.minimum(pos, kw_sorted.size - 1)
-                        hit = (kw_sorted[pos] == kr.ravel()).reshape(
-                            n, self.lanes
-                        )
-                    bad |= hit.any(axis=1)
-        if bad.any():
+        kernel = derive_kernel(trace._reads, trace._write, self)
+        if not isinstance(kernel, TraceKernel):
             # replay the valid prefix, then re-issue the first bad cycle
             # serially: step() raises the exact error with the exact
             # partial statistics and memory state
-            t_star = int(np.flatnonzero(bad)[0])
-            self.replay(trace.prefix(t_star))
-            step_reads, step_write = trace.cycle_args(t_star)
-            self.step(reads=step_reads, write=step_write)
+            self.replay(trace.prefix(kernel))
+            self.step(*trace.cycle_args(kernel))
             raise SimulationError(
-                f"replay flagged cycle {t_star} but serial step succeeded"
+                f"replay flagged cycle {kernel} but serial step succeeded"
             )  # pragma: no cover - detection is property-tested against step
         tel = _telemetry.active()
-        results: dict[int, np.ndarray] = {}
-        for port, (r_slots, _) in reads.items():
-            # pre-trace state; same-trace writes are folded in below.
-            # a read at cycle t observes writes with cycle < t
-            # (read-before-write port semantics); under write_first the
-            # same cycle's write is forwarded too, hence <= t
-            result = self.banks.read_slots(port, r_slots)
-            if w_slots is not None:
-                if last_t is not None:
-                    wt = last_t[r_slots]
-                    if self.collision_policy == "write_first":
-                        hit = wt <= t_col
-                    else:
-                        hit = wt < t_col
-                    if hit.any():
-                        if tel is not None:
-                            tel.metrics.counter("polymem.collision.forwarded").inc(
-                                int(np.count_nonzero(hit))
-                            )
-                        result[hit] = last_val[r_slots[hit]]
-                else:
-                    bound = (
-                        t_col + 1
-                        if self.collision_policy == "write_first"
-                        else t_col
-                    )
-                    kr = (r_slots * (n + 1) + bound).ravel()
-                    pos = np.searchsorted(kw_sorted, kr, side="left") - 1
-                    clipped = np.maximum(pos, 0)
-                    hit = (pos >= 0) & (
-                        kw_sorted[clipped] // (n + 1) == r_slots.ravel()
-                    )
-                    if hit.any():
-                        if tel is not None:
-                            tel.metrics.counter("polymem.collision.forwarded").inc(
-                                int(np.count_nonzero(hit))
-                            )
-                        flat = result.reshape(-1)
-                        flat[hit] = w_values.ravel()[w_order[clipped[hit]]]
-            results[port] = result
-            self.read_stats[port].accesses += n
-            self.read_stats[port].elements += n * self.lanes
-        if w_slots is not None:
-            # flattened fancy assignment applies events in cycle order, so
-            # duplicate slots resolve to the latest write — last-write-wins
-            # without any sort
-            self.banks.write_slots(flat_w, w_values.ravel())
-            self.write_stats.accesses += n
-            self.write_stats.elements += n * self.lanes
-        self.cycles += n
         if tel is not None:
-            m = tel.metrics
-            m.counter("polymem.replay.calls").inc()
-            m.counter("polymem.cycles.replay").inc(n)
-            m.counter("polymem.parallel_accesses").inc(
-                n * (len(reads) + (1 if w_slots is not None else 0))
-            )
-        return results
+            tel.metrics.counter("polymem.replay.calls").inc()
+        values = trace._write.values if trace.has_write else None
+        return run_kernel(self, kernel, values)
 
     # -- partial (masked) accesses ---------------------------------------------
     def _expand_partial(self, kind: PatternKind, i: int, j: int, count: int):

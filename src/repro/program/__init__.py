@@ -8,7 +8,7 @@ One typed description of a memory-bound kernel
 ops plus metadata), one pass pipeline
 (:func:`~repro.program.passes.compile_program`: validate → coalesce →
 compile to residue tables → segment), and one engine
-(:func:`~repro.program.engine.execute`) that replays each segment whole
+(:func:`~repro.program.engine.execute`) that runs each segment whole
 and reports through a single :class:`~repro.program.report.KernelReport`.
 Every PolyMem client — the application kernels, the PRF vector machine,
 the schedule executor, the STREAM controller, the fused MAX-PolyMem
@@ -17,12 +17,12 @@ chunk proof — *lowers* to this IR instead of hand-assembling
 
 Programs are constructed through one builder surface
 (:mod:`repro.program.builder`: :func:`~repro.program.builder.build` and
-the fluent :class:`~repro.program.builder.ProgramBuilder`), and the
-engine runs them on one of two backends
-(:data:`~repro.program.engine.BACKENDS`): ``"fused"`` — the default —
-JIT-specializes barrier-free segment groups into precomputed
-fancy-index kernels (:mod:`repro.program.fuse`), while ``"interp"``
-replays step by step as the bit-exact reference.
+the fluent :class:`~repro.program.builder.ProgramBuilder`).  The engine
+derives each barrier-free segment group's trace kernels once and caches
+them (:mod:`repro.program.fuse`); every step then runs through the one
+trace executor :meth:`~repro.core.polymem.PolyMem.replay` shares, and
+the serial ``PolyMem.step`` with ``use_plans = False`` stays the oracle
+all of it is property-tested against.
 
 Demo lowerings live in :mod:`repro.program.lower` (imported lazily —
 it depends on the kernel modules, which import this package).
@@ -30,13 +30,7 @@ it depends on the kernel modules, which import this package).
 
 from .analysis import op_slots, slot_disjoint
 from .builder import BuiltProgram, ProgramBuilder, SPEC_NAMES, build
-from .engine import (
-    BACKENDS,
-    DEFAULT_BACKEND,
-    Observer,
-    ProgramResult,
-    execute,
-)
+from .engine import Observer, ProgramResult, execute
 from .fuse import (
     FusionPlan,
     KernelCache,
@@ -65,14 +59,12 @@ from .report import CycleScope, KernelReport
 __all__ = [
     "AccessOp",
     "AccessProgram",
-    "BACKENDS",
     "Barrier",
     "BuiltProgram",
     "CompiledProgram",
     "CompiledSegment",
     "Compute",
     "CycleScope",
-    "DEFAULT_BACKEND",
     "FusionPlan",
     "KernelCache",
     "KernelReport",

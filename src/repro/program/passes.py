@@ -139,8 +139,11 @@ class TraceStep:
             parts.append(values)
         return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
-    def trace(self, env: Mapping[str, Any] | None = None) -> AccessTrace:
-        """The :class:`AccessTrace` for this step (cached when concrete)."""
+    def trace(
+        self, env: Mapping[str, Any] | None = None, values=None
+    ) -> AccessTrace:
+        """The :class:`AccessTrace` for this step (cached when concrete);
+        *values* passes write data already resolved from *env*."""
         if self._trace is not None:
             return self._trace
         trace = AccessTrace()
@@ -148,7 +151,9 @@ class TraceStep:
             trace.read(kind, ai, aj, port=port, stride=stride)
         if self.write is not None:
             kind, ai, aj, stride, _ = self.write
-            trace.write(kind, ai, aj, self.write_values(env or {}), stride=stride)
+            if values is None:
+                values = self.write_values(env or {})
+            trace.write(kind, ai, aj, values, stride=stride)
         if self.concrete:
             self._trace = trace
         return trace

@@ -217,14 +217,6 @@ class TestExecFlags:
         }
         assert all("elements_in" in e.metrics for e in profiles)
 
-    def test_config_from_args_shim_warns(self):
-        from repro.cli import _config_from_args
-
-        args = build_parser().parse_args(["report", "--capacity-kb", "4"])
-        with pytest.warns(DeprecationWarning, match="from_any"):
-            cfg = _config_from_args(args)
-        assert cfg.capacity_bytes == 4096
-
     def test_validate_json_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "polymem.json"
         cfg.write_text(json.dumps(
