@@ -1,13 +1,14 @@
-"""repro.exec scaling — warm-forked fan-out and warm-cache re-runs.
+"""repro.exec scaling — process-pool fan-out and warm-cache re-runs.
 
 The full Table III sweep with per-point §IV-A validation (the paper
-"validate[s] each design") is the repository's heaviest grid walk.  This
-bench runs it through the :mod:`repro.exec` runtime at 1..4 workers and
-shows (a) wall-clock speedup with the worker count — the warm-forked pool
-inherits pre-compiled plans/routes/kernels from the parent, so workers
-spend their time on points, not cold starts; (b) byte-identical results
-across worker counts; and (c) a warm-cache re-run that recomputes nothing
-and finishes in milliseconds per point.
+"validate[s] each design") runs through the :mod:`repro.exec` runtime at
+1..4 workers.  The bench measures (a) wall-clock speedup with the worker
+count of the plain process pool against the serial batched path; (b)
+byte-identical results across worker counts; and (c) a warm-cache re-run
+that recomputes nothing and finishes in milliseconds per point.  Since
+the DSE was vectorized the serial sweep takes tens of milliseconds, so
+on small machines the pool's fork and IPC cost outweighs the compute it
+splits and gate (i) below fails; it stays red until the runtime earns it.
 
 Runs two ways:
 
@@ -96,7 +97,7 @@ def run_scaling(cache_dir) -> tuple[str, Report, list[str], list[dict]]:
         if result.sweep.chunks:
             extra = (
                 f"  [{result.sweep.chunks} chunks, "
-                f"warmup {result.sweep.warmup_seconds:.3f} s]"
+                f"ipc {result.sweep.ipc_seconds:.3f} s]"
             )
         out.write(
             f"  workers={workers}: {seconds:6.2f} s"
@@ -165,7 +166,6 @@ def run_scaling(cache_dir) -> tuple[str, Report, list[str], list[dict]]:
                     "points": n_points,
                     "cpus": cpus,
                     "chunks": sweeps[w].chunks,
-                    "warmup_seconds": round(sweeps[w].warmup_seconds, 4),
                     "ipc_seconds": round(sweeps[w].ipc_seconds, 4),
                 },
             )

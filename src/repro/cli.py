@@ -125,15 +125,6 @@ def _add_exec_args(sub) -> None:
         "default: serial; clamped to the CPU count)",
     )
     sub.add_argument(
-        "--chunk-size",
-        dest="chunk_size",
-        type=int,
-        default=None,
-        metavar="N",
-        help="points per dispatch batch in parallel sweeps "
-        "(default: sized automatically from the per-point cost)",
-    )
-    sub.add_argument(
         "--no-cache",
         action="store_true",
         help="disable the on-disk result cache",
@@ -215,8 +206,7 @@ def _sweep_stats_line(sweep) -> str:
     )
     if sweep.chunks:
         line += (
-            f" [{sweep.chunks} chunks, warmup {sweep.warmup_seconds:.3f} s,"
-            f" ipc {sweep.ipc_seconds:.3f} s]"
+            f" [{sweep.chunks} chunks, ipc {sweep.ipc_seconds:.3f} s]"
         )
     return line
 
@@ -272,7 +262,6 @@ def cmd_dse(args) -> int:
             workers=args.workers,
             cache=_cache_from_args(args),
             progress=_progress_from_args(args),
-            chunk_size=args.chunk_size,
             batch=args.batch,
             prune=args.prune,
             backend=args.backend,
@@ -336,7 +325,6 @@ def cmd_stream(args) -> int:
             workers=args.workers,
             cache=_cache_from_args(args),
             progress=_progress_from_args(args),
-            chunk_size=args.chunk_size,
         )
         print(f"\n{'copied KB':>10s} {'MB/s':>9s} {'of peak':>8s}")
         for pt in points:
@@ -695,7 +683,6 @@ def cmd_experiments(args) -> int:
         workers=args.workers,
         cache=_cache_from_args(args),
         progress=_progress_from_args(args),
-        chunk_size=args.chunk_size,
     )
     print(card.report.render())
     _emit_json(args, card.report)

@@ -38,7 +38,6 @@ __all__ = [
     "RouteMemo",
     "permutation_from_banks",
     "route_memo",
-    "warm_routes",
 ]
 
 
@@ -121,13 +120,10 @@ class RouteMemo:
 
     Routes are a pure function of ``(lanes, permutation)`` — the hardware
     analogue is fixed combinational control logic — so there is nothing
-    instance-specific to key on.  Sharing one memo per process means (a)
-    every :class:`BenesNetwork` with the same lane count reuses routes,
-    and (b) a parent that pre-routes the permutations of a sweep before
-    forking workers hands each worker a warm memo copy-on-write (the
-    fork-after-warm path of :mod:`repro.exec.runtime`).  ``hits`` /
-    ``misses`` mirror the ``benes.route_cache.*`` telemetry counters for
-    the exec runtime's per-worker cache accounting.
+    instance-specific to key on.  Sharing one memo per process means
+    every :class:`BenesNetwork` with the same lane count reuses routes.
+    ``hits`` / ``misses`` mirror the ``benes.route_cache.*`` telemetry
+    counters.
     """
 
     def __init__(self):
@@ -162,31 +158,9 @@ class RouteMemo:
     def stats(self) -> dict:
         return {"size": len(self._entries), "hits": self.hits, "misses": self.misses}
 
-    def export_keys(self) -> list[tuple[int, list[int]]]:
-        """Routed permutations as ``(lanes, permutation list)`` pairs — the
-        exportable warm set :func:`warm_routes` replays in spawn-start
-        workers."""
-        return [
-            (lanes, np.frombuffer(key, dtype=np.int64).tolist())
-            for lanes, key in self._entries
-        ]
-
 
 #: the process-wide route memo (mirrors the plan cache's sharing model)
 route_memo = RouteMemo()
-
-
-def warm_routes(perms) -> int:
-    """Route every ``(lanes, permutation)`` pair in *perms* into
-    :data:`route_memo`; returns the number routed fresh."""
-    before = route_memo.misses
-    networks: dict[int, BenesNetwork] = {}
-    for lanes, perm in perms:
-        net = networks.get(lanes)
-        if net is None:
-            net = networks[lanes] = BenesNetwork(lanes)
-        net.route(np.asarray(perm, dtype=np.int64))
-    return route_memo.misses - before
 
 
 @dataclass(frozen=True)

@@ -7,10 +7,8 @@ package gives every entry point (CLI, benchmarks, tests) one way to run
 such grids:
 
 :func:`run_sweep` / :class:`SweepTask`
-    Warm-forked process-pool fan-out over independent points — parent-side
-    cache pre-warming inherited copy-on-write by workers (spawn platforms
-    replay it via a pool initializer, see :mod:`repro.exec.warm`), chunked
-    dispatch sized by a cost model, streaming result collection — with
+    Process-pool fan-out over independent points — batched evaluation of
+    sibling points, chunked dispatch, streaming result collection — with
     deterministic result ordering, graceful serial fallback, progress
     callbacks and wall-clock accounting (:class:`RunResult` /
     :class:`SweepResult`).
@@ -35,18 +33,8 @@ from .runtime import (
     RunResult,
     SweepResult,
     SweepTask,
-    plan_chunk_size,
     resolve_workers,
     run_sweep,
-)
-from .warm import (
-    WarmSpec,
-    WarmState,
-    WarmupReport,
-    collect_warmups,
-    export_warm_state,
-    run_warmups,
-    warm_initializer,
 )
 
 __all__ = [
@@ -59,17 +47,9 @@ __all__ = [
     "RunResult",
     "SweepResult",
     "SweepTask",
-    "WarmSpec",
-    "WarmState",
-    "WarmupReport",
     "cache_key",
-    "collect_warmups",
     "default_cache_dir",
-    "export_warm_state",
-    "plan_chunk_size",
     "rel_error",
     "resolve_workers",
     "run_sweep",
-    "run_warmups",
-    "warm_initializer",
 ]

@@ -5,16 +5,13 @@ All grid-shaped work in this repository — the Table III DSE sweep, the
 of independent *(experiment id, function, config, params)* points.
 :func:`run_sweep` executes such a list with
 
-* a **warm-forked** process pool: the distinct plan families, Benes
-  routes and fused kernels the tasks will need are pre-compiled once in
-  the parent (via each task's optional ``warmup`` hook), then workers
-  fork and inherit the hot caches copy-on-write — no per-worker cold
-  start.  Platforms without ``fork`` get an equivalent pool
-  ``initializer=`` that replays the warm set (see :mod:`repro.exec.warm`);
-* **chunked dispatch**: points are grouped into per-worker batches sized
-  by a small cost model fed from the ``exec.task_seconds`` telemetry
-  histogram (or a parent-side pilot point), amortising pickle/IPC
-  overhead without sacrificing load balance;
+* **batched evaluation**: sibling points sharing a ``batch_fn`` go to it
+  in one vectorized call, serially or per pool chunk;
+* a plain **process pool** when ``workers`` asks for one: ``fork`` where
+  the platform offers it (workers inherit the parent's caches
+  copy-on-write), else the default start method;
+* **chunked dispatch**: about :data:`CHUNKS_PER_WORKER` chunks per
+  worker, so stragglers rebalance while pickle/IPC is amortised;
 * **streaming collection**: chunk results arrive via ``as_completed`` —
   progress callbacks fire and cache writes land as each chunk finishes,
   so a crash mid-sweep loses only in-flight work, never completed points;
@@ -23,14 +20,13 @@ of independent *(experiment id, function, config, params)* points.
   per-chunk ``put_many`` batches after;
 * deterministic result ordering — ``SweepResult.results[i]`` always
   corresponds to ``tasks[i]`` regardless of completion order;
-* wall-clock, warm-up, and IPC accounting surfaced as ``exec.*``
-  telemetry (see ``docs/observability.md``).
+* wall-clock and IPC accounting surfaced as ``exec.*`` telemetry (see
+  ``docs/observability.md``).
 
-Task functions (and ``warmup`` hooks) must be module-level callables
-(picklable) taking the task's config as the first argument plus the
-task's params as keyword arguments; task functions must return
-plain-JSON data (so results can be cached and compared byte-for-byte
-across worker counts, chunk sizes, and start methods).
+Task functions must be module-level callables (picklable) taking the
+task's config as the first argument plus the task's params as keyword
+arguments, and must return plain-JSON data (so results can be cached and
+compared byte-for-byte across worker counts).
 """
 
 from __future__ import annotations
@@ -46,7 +42,6 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from ..telemetry import context as _telemetry
 from ..telemetry import ledger as _tel_ledger
-from . import warm as _warm
 from .cache import MISS, ResultCache, cache_key
 
 __all__ = [
@@ -55,7 +50,6 @@ __all__ = [
     "SweepResult",
     "run_sweep",
     "resolve_workers",
-    "plan_chunk_size",
 ]
 
 log = logging.getLogger(__name__)
@@ -66,10 +60,6 @@ MIN_PARALLEL_TASKS = 4
 #: chunking aims for this many chunks per worker so stragglers rebalance
 CHUNKS_PER_WORKER = 4
 
-#: ...but never slices finer than roughly this much work per chunk, so
-#: pickle/IPC overhead stays a rounding error next to compute
-TARGET_CHUNK_SECONDS = 0.2
-
 
 @dataclass(frozen=True)
 class SweepTask:
@@ -78,12 +68,7 @@ class SweepTask:
     ``fn(config, **params)`` computes the point's plain-JSON payload.
     ``key`` overrides the derived cache key when the default
     *(experiment_id, config, params, model version)* hash is not the right
-    identity for the work.  ``warmup(config, **params)``, when given, is a
-    module-level hook that pre-compiles the plan families / Benes routes /
-    kernels ``fn`` will need; the runtime runs the deduplicated warm set
-    once in the parent before forking workers.  ``warmup`` never
-    participates in the cache key — warming is an execution detail, not
-    part of the point's identity.
+    identity for the work.
     """
 
     experiment_id: str
@@ -91,14 +76,13 @@ class SweepTask:
     config: Any = None
     params: Mapping[str, Any] = field(default_factory=dict)
     key: str | None = None
-    warmup: Callable[..., Any] | None = None
     #: optional vectorized evaluator: ``batch_fn(configs, **params)``
     #: computes a whole group of sibling points (same experiment_id and
     #: params) in one pass, returning one plain-JSON payload per config
     #: in order — each payload must be byte-identical to what
-    #: ``fn(config, **params)`` returns for the same config.  Like
-    #: ``warmup``, it is an execution detail and never part of the cache
-    #: key; must be module-level (picklable).
+    #: ``fn(config, **params)`` returns for the same config.  It is an
+    #: execution detail and never part of the cache key; must be
+    #: module-level (picklable).
     batch_fn: Callable[..., Any] | None = None
 
     def cache_key(self, model_version: str | None = None) -> str:
@@ -127,7 +111,6 @@ class SweepResult:
     results: list[RunResult]
     wall_seconds: float  #: end-to-end sweep wall clock
     workers: int  #: workers actually used (1 = serial)
-    warmup_seconds: float = 0.0  #: parent-side pre-fork warm pass
     ipc_seconds: float = 0.0  #: queueing + (de)serialisation across chunks
     chunks: int = 0  #: dispatch batches sent to the pool (0 = serial)
     batched_points: int = 0  #: points computed through a ``batch_fn`` group
@@ -151,7 +134,7 @@ class SweepResult:
 
     def payload_json(self) -> str:
         """Canonical JSON of (key, value) per point — identical bytes for
-        identical work regardless of workers/chunking/caching/timing."""
+        identical work regardless of workers/caching/timing."""
         import json
 
         return json.dumps(
@@ -183,44 +166,6 @@ def resolve_workers(workers: int | None, n_tasks: int) -> int:
     if n_tasks < MIN_PARALLEL_TASKS:
         return 1
     return max(1, min(workers, n_tasks))
-
-
-def plan_chunk_size(
-    n_pending: int,
-    n_workers: int,
-    chunk_size: int | None = None,
-    mean_task_seconds: float | None = None,
-) -> int:
-    """Points per dispatch batch.
-
-    An explicit *chunk_size* wins.  Otherwise balance two pressures:
-    enough chunks for the pool to load-balance stragglers
-    (:data:`CHUNKS_PER_WORKER` per worker), but coarse enough that each
-    chunk carries ~:data:`TARGET_CHUNK_SECONDS` of compute so the
-    per-chunk pickle/queue round-trip is amortised.  The cost estimate
-    comes from the live ``exec.task_seconds`` histogram when telemetry is
-    active, else from a parent-side pilot point (see :func:`run_sweep`).
-    """
-    if chunk_size is not None:
-        if chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-        return chunk_size
-    by_balance = max(1, math.ceil(n_pending / (n_workers * CHUNKS_PER_WORKER)))
-    if mean_task_seconds and mean_task_seconds > 0:
-        by_cost = max(1, math.ceil(TARGET_CHUNK_SECONDS / mean_task_seconds))
-        return min(by_balance, by_cost) if by_cost < by_balance else by_balance
-    return by_balance
-
-
-def _mean_task_seconds_from_telemetry() -> float | None:
-    """Mean of the live ``exec.task_seconds`` histogram, if any."""
-    tel = _telemetry.active()
-    if tel is None:
-        return None
-    hist = tel.metrics.histograms.get("exec.task_seconds")
-    if hist is None or hist.count == 0:
-        return None
-    return hist.mean
 
 
 def _execute(task: SweepTask) -> tuple[Any, float]:
@@ -291,11 +236,10 @@ def _execute_chunk(tasks: Sequence[SweepTask]) -> dict:
     family).  Besides the per-task ``(value, seconds)`` pairs, the
     payload carries ``time.monotonic()`` endpoints (system-wide on Linux,
     so the parent can subtract pure compute from the submit→arrival
-    window to estimate IPC overhead), the worker's cache hit/miss deltas
-    for the chunk, and the chunk's batch-path accounting.
+    window to estimate IPC overhead) and the chunk's batch-path
+    accounting.
     """
     t_start = time.monotonic()
-    before = _warm.cache_stats()
     out: list[tuple[Any, float] | None] = [None] * len(tasks)
     batched = calls = 0
     for idxs in _dispatch_groups(tasks, range(len(tasks))):
@@ -308,24 +252,9 @@ def _execute_chunk(tasks: Sequence[SweepTask]) -> dict:
         "results": out,
         "t_start": t_start,
         "t_end": time.monotonic(),
-        "cache_stats": _warm.stats_delta(before, _warm.cache_stats()),
         "batched": batched,
         "batch_calls": calls,
     }
-
-
-def _pool_context(start_method: str | None):
-    """The multiprocessing context for the pool, preferring ``fork``.
-
-    Returns ``(context, needs_initializer)``: on fork platforms workers
-    inherit the parent's warmed caches copy-on-write and need no
-    initializer; otherwise (spawn/forkserver) each worker replays the
-    exported warm state via :func:`repro.exec.warm.warm_initializer`.
-    """
-    if start_method is None:
-        methods = multiprocessing.get_all_start_methods()
-        start_method = "fork" if "fork" in methods else methods[0]
-    return multiprocessing.get_context(start_method), start_method != "fork"
 
 
 def run_sweep(
@@ -334,8 +263,6 @@ def run_sweep(
     cache: ResultCache | None = None,
     progress: Callable[[int, int, RunResult], None] | None = None,
     model_version: str | None = None,
-    chunk_size: int | None = None,
-    _start_method: str | None = None,
 ) -> SweepResult:
     """Run every task, in parallel when asked, consulting *cache* first.
 
@@ -357,13 +284,6 @@ def run_sweep(
     model_version:
         Overrides the cache-key model version (tests use this to exercise
         invalidation; production code leaves the default).
-    chunk_size:
-        Points per dispatch batch; ``None`` (default) sizes batches
-        automatically (:func:`plan_chunk_size`).
-    _start_method:
-        Force a multiprocessing start method (tests pin ``"spawn"`` to
-        exercise the initializer fallback); ``None`` picks ``fork`` when
-        the platform offers it.
 
     If a worker raises, the sweep cancels undispatched chunks, persists
     every already-completed chunk to *cache*, then re-raises the first
@@ -390,13 +310,10 @@ def run_sweep(
             progress(done, total, results[i])
 
     n_workers = resolve_workers(workers, len(pending))
-    warmup_seconds = 0.0
     ipc_seconds = 0.0
-    n_chunks = 0
     n_batched = 0
     n_batch_calls = 0
-    chunk_sizes: list[int] = []
-    worker_stats: dict[str, int] = {}
+    chunks: list[list[int]] = []
 
     def finish(i: int, value: Any, seconds: float, *, persist: bool = True) -> None:
         nonlocal done
@@ -415,44 +332,15 @@ def run_sweep(
             for i, (value, seconds) in zip(idxs, pairs):
                 finish(i, value, seconds)
     else:
-        # -- warm the parent before forking --------------------------------
-        specs = _warm.collect_warmups(tasks[i] for i in pending)
-        mean = _mean_task_seconds_from_telemetry()
-        t0 = time.perf_counter()
-        report = _warm.run_warmups(specs)
-        if mean is None and len(pending) > 1:
-            # Pilot the first pending point in the parent: it feeds the
-            # chunk cost model and drags any cache state the warmup hooks
-            # missed into the pre-fork image.
-            i = pending.pop(0)
-            value, seconds = _execute(tasks[i])
-            finish(i, value, seconds)
-            mean = seconds
-        warmup_seconds = time.perf_counter() - t0
-        if report.specs:
-            log.debug(
-                "exec: warmed %d specs (%d plans, %d routes, %d kernels) in %.3fs",
-                report.specs, report.plans, report.routes, report.kernels,
-                report.seconds,
-            )
-
-        ctx, needs_init = _pool_context(_start_method)
-        init_kwargs: dict[str, Any] = {}
-        if needs_init:
-            init_kwargs = {
-                "initializer": _warm.warm_initializer,
-                "initargs": (_warm.export_warm_state(specs),),
-            }
-
-        size = plan_chunk_size(len(pending), n_workers, chunk_size, mean)
+        size = math.ceil(len(pending) / (n_workers * CHUNKS_PER_WORKER))
         chunks = [pending[i : i + size] for i in range(0, len(pending), size)]
-        n_chunks = len(chunks)
-        chunk_sizes = [len(c) for c in chunks]
+        try:
+            ctx = multiprocessing.get_context("fork")
+        except ValueError:  # no fork on this platform
+            ctx = multiprocessing.get_context()
 
         first_error: BaseException | None = None
-        with ProcessPoolExecutor(
-            max_workers=n_workers, mp_context=ctx, **init_kwargs
-        ) as pool:
+        with ProcessPoolExecutor(max_workers=n_workers, mp_context=ctx) as pool:
             submitted: dict[Any, list[int]] = {}
             submit_at: dict[Any, float] = {}
             for chunk in chunks:
@@ -475,10 +363,8 @@ def run_sweep(
                     0.0,
                     (arrival - submit_at[fut]) - (payload["t_end"] - payload["t_start"]),
                 )
-                for name, delta in payload["cache_stats"].items():
-                    worker_stats[name] = worker_stats.get(name, 0) + delta
-                n_batched += payload.get("batched", 0)
-                n_batch_calls += payload.get("batch_calls", 0)
+                n_batched += payload["batched"]
+                n_batch_calls += payload["batch_calls"]
                 if cache is not None:
                     cache.put_many(
                         {keys[i]: v for i, (v, _) in zip(chunk, payload["results"])}
@@ -492,9 +378,8 @@ def run_sweep(
         results=results,  # type: ignore[arg-type]  (all slots filled above)
         wall_seconds=time.perf_counter() - t_sweep,
         workers=n_workers,
-        warmup_seconds=warmup_seconds,
         ipc_seconds=ipc_seconds,
-        chunks=n_chunks,
+        chunks=len(chunks),
         batched_points=n_batched,
         batch_calls=n_batch_calls,
     )
@@ -507,15 +392,12 @@ def run_sweep(
         m.counter("exec.wall_seconds").inc(sweep.wall_seconds)
         m.counter("exec.compute_seconds").inc(sweep.compute_seconds)
         m.gauge("exec.workers").set(n_workers)
-        if n_chunks:
-            m.counter("exec.warmup_seconds").inc(warmup_seconds)
+        if chunks:
             m.counter("exec.ipc_seconds").inc(ipc_seconds)
-            m.counter("exec.chunks").inc(n_chunks)
+            m.counter("exec.chunks").inc(len(chunks))
             chunk_hist = m.histogram("exec.chunk_size")
-            for n in chunk_sizes:
-                chunk_hist.observe(n)
-            for name, count in worker_stats.items():
-                m.counter(f"exec.worker.{name}").inc(count)
+            for chunk in chunks:
+                chunk_hist.observe(len(chunk))
         task_hist = m.histogram("exec.task_seconds")
         for r in sweep.results:
             if not r.cached:
@@ -527,7 +409,7 @@ def run_sweep(
                 points=total,
                 cached=sweep.n_cached,
                 workers=n_workers,
-                chunks=n_chunks,
+                chunks=len(chunks),
                 wall_seconds=sweep.wall_seconds,
             )
         # auto-ledger: a metered sweep appends a run-ledger entry when

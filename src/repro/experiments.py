@@ -215,13 +215,12 @@ def _stream_rows() -> list[ExperimentRow]:
 
 
 def _validation_rows(
-    workers: int | None = None, cache: ResultCache | None = None,
-    chunk_size: int | None = None,
+    workers: int | None = None, cache: ResultCache | None = None
 ) -> tuple[list[ExperimentRow], object]:
     from .core.config import KB, PolyMemConfig
     from .core.schemes import Scheme
     from .exec import SweepTask, run_sweep
-    from .maxpolymem.validation import validate_config, warm_validation
+    from .maxpolymem.validation import validate_config
 
     cfgs = [
         PolyMemConfig(16 * KB, p=2, q=4, scheme=scheme, read_ports=2)
@@ -233,11 +232,10 @@ def _validation_rows(
             validate_config,
             cfg,
             params={"max_rows": 8, "style": "fused"},
-            warmup=warm_validation,
         )
         for cfg in cfgs
     ]
-    sweep = run_sweep(tasks, workers=workers, cache=cache, chunk_size=chunk_size)
+    sweep = run_sweep(tasks, workers=workers, cache=cache)
     passed = sum(
         v["passed"] and not v["mismatches"] for v in sweep.values()
     )
@@ -272,33 +270,26 @@ def run_scorecard(
     workers: int | None = None,
     cache: ResultCache | None = None,
     progress: Callable | None = None,
-    chunk_size: int | None = None,
 ) -> Scorecard:
     """Run every experiment through :mod:`repro.exec`.
 
     ``workers`` fans the Table III sweep and the validation grid out over
-    a warm-forked process pool; ``cache`` makes warm re-runs skip every
-    sweep point whose inputs did not change; ``chunk_size`` overrides the
-    automatic dispatch batch sizing.
+    a process pool; ``cache`` makes warm re-runs skip every sweep point
+    whose inputs did not change.
     """
     from .dse import explore
 
-    result = explore(
-        workers=workers, cache=cache, progress=progress, chunk_size=chunk_size
-    )
+    result = explore(workers=workers, cache=cache, progress=progress)
     rows: list[ExperimentRow] = []
     rows += _table1_rows()
     rows += _table4_rows()
     rows += _bandwidth_rows(result)
     rows += _utilization_rows(result)
     rows += _stream_rows()
-    val_rows, val_sweep = _validation_rows(
-        workers=workers, cache=cache, chunk_size=chunk_size
-    )
+    val_rows, val_sweep = _validation_rows(workers=workers, cache=cache)
     rows += val_rows
     report = scorecard_report(rows)
-    if result.sweep is not None:
-        report.add_sweep_meta(result.sweep)
+    report.add_sweep_meta(result.sweep)
     report.add_sweep_meta(val_sweep)
     return Scorecard(rows=rows, report=report)
 
@@ -307,12 +298,9 @@ def run_all(
     workers: int | None = None,
     cache: ResultCache | None = None,
     progress: Callable | None = None,
-    chunk_size: int | None = None,
 ) -> list[ExperimentRow]:
     """Run every experiment and return the scorecard rows."""
-    return run_scorecard(
-        workers=workers, cache=cache, progress=progress, chunk_size=chunk_size
-    ).rows
+    return run_scorecard(workers=workers, cache=cache, progress=progress).rows
 
 
 def scorecard_report(rows: list[ExperimentRow]) -> Report:

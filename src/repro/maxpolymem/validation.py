@@ -39,22 +39,7 @@ __all__ = [
     "validate_config",
     "validate_configs",
     "validate_points_batch",
-    "warm_validation",
 ]
-
-
-def warm_validation(config: PolyMemConfig, max_rows=None, style=None, **_: object) -> None:
-    """Pre-compile the plan families one §IV-A cycle touches.
-
-    This is the :class:`~repro.exec.SweepTask` ``warmup`` hook for the
-    validation grid: the fill phase uses aligned ``RECTANGLE`` accesses and
-    the readback phase every supported pattern whose condition holds, so
-    warming exactly that set in the parent lets forked workers start with
-    every :func:`~repro.core.plan.compile_plan` family already resident.
-    Extra keyword arguments (``max_rows``/``style``/...) are accepted and
-    ignored so the hook matches any caller's task params.
-    """
-    compile_plan_batch(_validation_plan_keys(config))
 
 
 def _validation_plan_keys(config: PolyMemConfig) -> list[tuple]:
@@ -68,16 +53,6 @@ def _validation_plan_keys(config: PolyMemConfig) -> list[tuple]:
         (config.rows, config.cols, p, q, config.scheme, kind, 1)
         for kind in kinds
     ]
-
-
-def _warm_validation_family(config: PolyMemConfig, **_: object) -> tuple:
-    """Warmup dedup key: the compiled plan families are blind to the read
-    port count, so sibling configs differing only in ports share one
-    warm-up (see :func:`repro.exec.warm.collect_warmups`)."""
-    return (config.rows, config.cols, config.p, config.q, config.scheme)
-
-
-warm_validation.warm_family = _warm_validation_family
 
 
 @dataclass
@@ -395,15 +370,12 @@ def validate_configs(
     workers: int | None = None,
     cache=None,
     progress: Callable | None = None,
-    chunk_size: int | None = None,
     batch: bool = True,
 ) -> list[ValidationReport]:
     """The §IV-A cycle over a grid of configurations via :mod:`repro.exec`.
 
     Returns one :class:`ValidationReport` per config, in input order.
-    ``workers``/``cache``/``progress``/``chunk_size`` go to
-    :func:`repro.exec.run_sweep`; every task carries
-    :func:`warm_validation` so parallel runs fork from pre-warmed caches.
+    ``workers``/``cache``/``progress`` go to :func:`repro.exec.run_sweep`.
     With ``batch`` (the default), sibling tasks in one chunk evaluate
     through :func:`validate_points_batch` in a single vectorized call;
     payloads are byte-identical either way.
@@ -416,14 +388,11 @@ def validate_configs(
             validate_config,
             cfg,
             params={"max_rows": max_rows, "style": style},
-            warmup=warm_validation,
             batch_fn=validate_points_batch if batch else None,
         )
         for cfg in configs
     ]
-    sweep = run_sweep(
-        tasks, workers=workers, cache=cache, progress=progress, chunk_size=chunk_size
-    )
+    sweep = run_sweep(tasks, workers=workers, cache=cache, progress=progress)
     return [
         ValidationReport(
             config_label=v["config_label"],

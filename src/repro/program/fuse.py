@@ -113,10 +113,7 @@ class KernelCache:
     def ensure(self, key: str, build) -> tuple:
         """The kernel under *key*, building (and caching) it on a miss.
 
-        Returns ``(kernel, hit)``.  This is the pre-warm hook of the
-        fork-after-warm exec runtime: a parent process can ensure every
-        group kernel a task list will need before forking workers, which
-        then find the cache warm copy-on-write.
+        Returns ``(kernel, hit)``.
         """
         kernel = self.get(key)
         if kernel is not None:
@@ -439,11 +436,8 @@ def fusion_plan(compiled, mems: Mapping[str, Any]) -> FusionPlan:
 
 def warm_kernels(compiled, mems: Mapping[str, Any]) -> int:
     """Pre-build every group kernel *compiled* needs into
-    :data:`kernel_cache` (the exec runtime's KernelCache pre-warm hook).
-
-    Warming in the parent before the worker pool forks makes the first
-    fused execution in every worker a pure cache hit; returns the number
-    of kernels built fresh.
+    :data:`kernel_cache`, so the first fused execution is a pure cache
+    hit; returns the number of kernels built fresh.
     """
     from .passes import warm_plans
 

@@ -308,7 +308,6 @@ def sweep_fig10(
     workers: int | None = None,
     cache=None,
     progress=None,
-    chunk_size: int | None = None,
 ) -> list[Fig10Point]:
     """Regenerate Fig. 10: Copy bandwidth vs copied data size.
 
@@ -345,7 +344,5 @@ def sweep_fig10(
                 },
             )
         )
-    sweep = run_sweep(
-        tasks, workers=workers, cache=cache, progress=progress, chunk_size=chunk_size
-    )
+    sweep = run_sweep(tasks, workers=workers, cache=cache, progress=progress)
     return [Fig10Point(**v) for v in sweep.values()]

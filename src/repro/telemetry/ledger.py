@@ -294,7 +294,6 @@ def maybe_record_sweep(experiment_ids, sweep, telemetry) -> LedgerEntry | None:
             params={"experiments": ids, "points": len(sweep.results)},
             timings={
                 "wall_seconds": sweep.wall_seconds,
-                "warmup_seconds": sweep.warmup_seconds,
                 "ipc_seconds": sweep.ipc_seconds,
                 "compute_seconds": sweep.compute_seconds,
             },

@@ -77,7 +77,7 @@ GATE_TABLE: dict[str, GateSpec] = {
         ">=", 2.0, "warm fused program vs cold-cache program (4096-access stream)"
     ),
     "exec.scaling_1_to_4": GateSpec(
-        ">=", 2.0, "warm-fork sweep speedup 1 -> 4 workers (>= 2 CPUs)"
+        ">=", 2.0, "process-pool sweep speedup 1 -> 4 workers (>= 2 CPUs)"
     ),
     "exec.no_regression_1cpu": GateSpec(
         "<=", 1.05, "4-worker wall vs 1-worker wall on a single-CPU machine"

@@ -234,27 +234,16 @@ def derived_values(snapshot: dict) -> list[tuple[str, str]]:
     if wall and workers:
         util = c.get("exec.compute_seconds", 0.0) / (wall * workers)
         out.append(("exec worker utilization", f"{100.0 * util:.1f}%"))
-    if wall and c.get("exec.chunks", 0):
-        warmup = c.get("exec.warmup_seconds", 0.0)
+    chunks = c.get("exec.chunks", 0)
+    if wall and chunks:
         ipc = c.get("exec.ipc_seconds", 0.0)
         out.append(
             (
-                "exec warm-fork overhead",
-                f"warmup {warmup:.3f} s ({100.0 * warmup / wall:.1f}% of wall), "
-                f"ipc {ipc:.3f} s over {c.get('exec.chunks', 0)} chunks",
+                "exec pool overhead",
+                f"ipc {ipc:.3f} s over {chunks} chunks "
+                f"({100.0 * ipc / wall:.1f}% of wall)",
             )
         )
-    for cache_name, label in (
-        ("plan_cache", "worker plan-cache hit rate"),
-        ("route_cache", "worker route-cache hit rate"),
-        ("kernel_cache", "worker kernel-cache hit rate"),
-    ):
-        rate = _rate(
-            c.get(f"exec.worker.{cache_name}.hits", 0),
-            c.get(f"exec.worker.{cache_name}.misses", 0),
-        )
-        if rate is not None:
-            out.append((label, f"{100.0 * rate:.1f}%"))
 
     return out
 

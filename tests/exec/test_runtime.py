@@ -1,23 +1,25 @@
 """Tests for the repro.exec sweep runtime.
 
-Includes the ISSUE-1 equivalence requirement: the full Table III sweep
-produces byte-identical SweepResults at workers=1 and workers=4, and the
-ISSUE-7 extensions: chunked dispatch equivalence, the CPU-count clamp,
-and streaming persistence of completed chunks when a worker raises.
+Includes the equivalence requirement: the full Table III sweep produces
+byte-identical SweepResults at workers=1 and workers=4; chunked dispatch
+equivalence across worker counts; the CPU-count clamp; and streaming
+persistence of completed chunks when a worker raises or dies.
 
 Tests that need a real multi-worker pool pretend the machine has many
 CPUs (``many_cpus``) — ``resolve_workers`` clamps to ``os.cpu_count()``,
 and CI runners may have only one core.
 """
 
+import json
 import os
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
 from repro.dse import explore
 from repro.dse.space import PAPER_SPACE
 from repro.exec import ResultCache, SweepTask, resolve_workers, run_sweep
-from repro.exec.runtime import MIN_PARALLEL_TASKS, plan_chunk_size
+from repro.exec.runtime import MIN_PARALLEL_TASKS
 
 
 def square(config, offset=0):
@@ -27,6 +29,17 @@ def square(config, offset=0):
 
 def boom(config):
     raise ValueError(f"boom on {config}")
+
+
+def crash_once(config, marker):
+    """Kill the worker process outright the first time any task runs it
+    (no exception, no cleanup — like an OOM kill); later runs compute."""
+    try:
+        fd = os.open(marker, os.O_CREAT | os.O_EXCL)
+    except FileExistsError:
+        return {"square": config * config}
+    os.close(fd)
+    os._exit(1)
 
 
 def _tasks(n, offset=0):
@@ -68,27 +81,15 @@ class TestResolveWorkers:
 
 
 class TestPlanChunkSize:
-    def test_explicit_size_wins(self):
-        assert plan_chunk_size(100, 4, chunk_size=7) == 7
+    """Pool chunks are sized for balance: about CHUNKS_PER_WORKER (4)
+    chunks per worker, never fewer than one point each."""
 
-    def test_explicit_size_validated(self):
-        with pytest.raises(ValueError):
-            plan_chunk_size(100, 4, chunk_size=0)
-
-    def test_balance_bound_without_cost_estimate(self):
+    def test_balance_bound_without_cost_estimate(self, many_cpus):
         # 90 points / (4 workers * 4 chunks-per-worker) -> 6 per chunk
-        assert plan_chunk_size(90, 4) == 6
+        assert run_sweep(_tasks(90), workers=4).chunks == 15
 
-    def test_cheap_tasks_coarsen_up_to_balance_bound(self):
-        # 1 ms/point would allow 200-point chunks, but load balance caps it
-        assert plan_chunk_size(90, 4, mean_task_seconds=0.001) == 6
-
-    def test_expensive_tasks_split_finer(self):
-        # 0.15 s/point -> ~2 points reach the target chunk cost
-        assert plan_chunk_size(90, 4, mean_task_seconds=0.15) == 2
-
-    def test_never_below_one(self):
-        assert plan_chunk_size(3, 4, mean_task_seconds=10.0) == 1
+    def test_never_below_one(self, many_cpus):
+        assert run_sweep(_tasks(5), workers=4).chunks == 5
 
 
 class TestRunSweep:
@@ -108,18 +109,22 @@ class TestRunSweep:
         assert parallel.values() == serial.values()
 
     def test_chunked_matches_unchunked_byte_for_byte(self, many_cpus):
-        serial = run_sweep(_tasks(11))
-        for size in (1, 3, 11, 50):
-            chunked = run_sweep(_tasks(11), workers=4, chunk_size=size)
-            assert chunked.payload_json() == serial.payload_json(), size
-        auto = run_sweep(_tasks(11), workers=4)  # cost-model sizing
-        assert auto.payload_json() == serial.payload_json()
+        # chunk size follows the worker count: 11 points -> 6 chunks of
+        # <= 2 at 2 workers, 11 chunks of 1 at 4; 50 points -> chunks of
+        # 7 and 4. Every chunking must reproduce the serial bytes.
+        for n in (11, 50):
+            serial = run_sweep(_tasks(n))
+            for workers in (2, 4):
+                chunked = run_sweep(_tasks(n), workers=workers)
+                assert chunked.workers == workers
+                assert chunked.chunks > 1
+                assert chunked.payload_json() == serial.payload_json(), (n, workers)
+                assert chunked.values() == serial.values()
 
     def test_chunk_accounting(self, many_cpus):
-        sweep = run_sweep(_tasks(10), workers=4, chunk_size=3)
-        # pilot point runs in the parent; 9 remaining points -> 3 chunks
-        assert sweep.chunks == 3
-        assert sweep.warmup_seconds >= 0.0
+        sweep = run_sweep(_tasks(24), workers=2)
+        # 24 points / (2 workers * 4 chunks-per-worker) -> 8 chunks of 3
+        assert sweep.chunks == 8
         assert sweep.ipc_seconds >= 0.0
         serial = run_sweep(_tasks(10))
         assert serial.chunks == 0 and serial.ipc_seconds == 0.0
@@ -173,7 +178,6 @@ class TestRunSweep:
         run_sweep(
             _tasks(10),
             workers=2,
-            chunk_size=2,
             progress=lambda done, total, result: seen.append((done, result)),
         )
         assert [d for d, _ in seen] == list(range(1, 11))
@@ -192,20 +196,56 @@ class TestRunSweep:
             run_sweep(tasks, workers=2)
 
     def test_completed_chunks_persist_through_failure(self, many_cpus, tmp_path):
-        """A late worker crash must not lose earlier points: every chunk
+        """A late worker failure must not lose earlier points: every chunk
         that completed before the failure is already in the cache, so the
-        re-run resumes instead of starting over (the ISSUE-7 satellite)."""
+        re-run resumes instead of starting over."""
         cache = ResultCache(tmp_path / "cache")
-        good = _tasks(8)
+        good = _tasks(7)
         tasks = good + [SweepTask("test.boom", boom, 99)]
         with pytest.raises(ValueError, match="boom on 99"):
-            # chunk_size=1 with 2 workers: the boom chunk is dispatched
-            # last, after every square chunk has started
-            run_sweep(tasks, workers=2, cache=cache, chunk_size=1)
+            # 8 points on 2 workers -> 8 one-point chunks: the boom chunk
+            # is dispatched last, after every square chunk has started
+            run_sweep(tasks, workers=2, cache=cache)
         persisted = sum(t.cache_key() in cache for t in good)
         assert persisted == len(good)
         resumed = run_sweep(good, cache=cache)
         assert resumed.n_cached == len(good)
+
+    def test_killed_worker_leaves_valid_resumable_cache(self, many_cpus, tmp_path):
+        """A worker that dies mid-sweep (``os._exit``, no exception to
+        catch) breaks the pool: the sweep raises, the cache holds only
+        complete entries of chunks that finished, and a re-run on that
+        cache reproduces the serial payload byte for byte."""
+        marker = str(tmp_path / "crashed")
+        cache = ResultCache(tmp_path / "cache")
+        tasks = _tasks(15) + [
+            SweepTask("test.crash", crash_once, 15, params={"marker": marker})
+        ]
+        keys = [t.cache_key() for t in tasks]
+        with pytest.raises(BrokenProcessPool):
+            # 16 points on 2 workers -> 8 chunks of 2; the last chunk
+            # pairs square(14) with the crash
+            run_sweep(tasks, workers=2, cache=cache)
+        assert os.path.exists(marker)  # the crash really happened in a worker
+
+        serial = run_sweep(tasks)
+        expected = {r.key: r.value for r in serial.results}
+        entries = sorted((tmp_path / "cache").glob("*/*"))
+        # no temp files left behind; every entry is whole and correct
+        assert all(path.suffix == ".json" for path in entries), entries
+        for path in entries:
+            entry = json.loads(path.read_text())
+            assert entry["key"] == path.stem
+            assert entry["value"] == expected[path.stem]
+        # chunks persist all-or-nothing, and the crashed chunk not at all
+        cached = [key in cache for key in keys]
+        assert not cached[14] and not cached[15]
+        for i in range(0, 14, 2):
+            assert cached[i] == cached[i + 1], i
+
+        resumed = run_sweep(tasks, workers=2, cache=cache)
+        assert resumed.n_cached == len(entries)
+        assert resumed.payload_json() == serial.payload_json()
 
     def test_explicit_key_overrides_derived(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
@@ -233,6 +273,23 @@ class TestTableIIIEquivalence:
         assert [p.model_mhz for p in parallel.points] == [
             p.model_mhz for p in serial.points
         ]
+
+    def test_validated_sweeps_pooled_match_serial(self, many_cpus):
+        """The validated DSE sweep and the validation grid give the serial
+        bytes at 2 and 4 workers (the pooled perfbench queries)."""
+        from dataclasses import asdict
+
+        from repro.maxpolymem import validate_configs
+
+        serial = explore(validate=True, validate_rows=8)
+        cfgs = [p.config for p in serial.points]
+        reports = json.dumps([asdict(r) for r in validate_configs(cfgs, max_rows=8)])
+        for workers in (2, 4):
+            pooled = explore(validate=True, validate_rows=8, workers=workers)
+            assert pooled.sweep.workers == workers and pooled.sweep.chunks > 1
+            assert pooled.sweep.payload_json() == serial.sweep.payload_json()
+            got = validate_configs(cfgs, max_rows=8, workers=workers)
+            assert json.dumps([asdict(r) for r in got]) == reports
 
     def test_cached_sweep_equals_computed(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
@@ -304,8 +361,8 @@ class TestBatchDispatch:
 
     def test_parallel_chunks_use_batch_path(self, many_cpus):
         serial = run_sweep(_tasks(40))
-        parallel = run_sweep(_batch_tasks(40), workers=4, chunk_size=10)
+        parallel = run_sweep(_batch_tasks(40), workers=4)
         assert parallel.payload_json() == serial.payload_json()
-        # every point except the scalar cost-probe pilot goes batched
-        assert parallel.batched_points == 39
-        assert parallel.batch_calls >= 4
+        # one batch call per chunk: 40 points / 16 -> 14 chunks of 3
+        assert parallel.batched_points == 40
+        assert parallel.batch_calls == parallel.chunks == 14

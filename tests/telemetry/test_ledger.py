@@ -198,7 +198,6 @@ class TestMaybeRecordSweep:
     def sweep(self):
         return SimpleNamespace(
             wall_seconds=1.0,
-            warmup_seconds=0.1,
             ipc_seconds=0.05,
             compute_seconds=0.8,
             workers=2,
@@ -224,7 +223,11 @@ class TestMaybeRecordSweep:
         entry = maybe_record_sweep(["dse", "dse"], self.sweep(), snap)
         assert entry.bench == "sweep.dse"
         assert entry.params == {"experiments": ["dse"], "points": 3}
-        assert entry.timings["wall_seconds"] == 1.0
+        assert entry.timings == {
+            "wall_seconds": 1.0,
+            "ipc_seconds": 0.05,
+            "compute_seconds": 0.8,
+        }
         (stored,) = Ledger(path).entries()
         assert stored.bench == "sweep.dse"
 

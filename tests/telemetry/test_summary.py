@@ -105,6 +105,18 @@ class TestDerivedValues:
         assert got["exec cache hit rate"] == "75.0%"
         assert got["exec worker utilization"] == "75.0%"
 
+    def test_exec_pool_overhead(self):
+        got = dict(derived_values(snapshot(
+            counters={
+                "exec.wall_seconds": 2.0,
+                "exec.ipc_seconds": 0.5,
+                "exec.chunks": 8,
+            },
+        )))
+        assert got["exec pool overhead"] == (
+            "ipc 0.500 s over 8 chunks (25.0% of wall)"
+        )
+
     def test_empty_snapshot_derives_nothing(self):
         assert derived_values(snapshot()) == []
 

@@ -412,6 +412,64 @@ class TestTelemetryObservatory:
         kinds = {row["kind"] for row in doc["rows"]}
         assert {"gate", "timing", "counter"} <= kinds
 
+    def test_reads_sweep_entries_of_the_warm_fork_runtime(self, tmp_path, capsys):
+        """Ledgers written before the warm-fork pool was removed carry a
+        ``warmup_seconds`` timing and ``exec.warmup_seconds`` /
+        ``exec.worker.*`` counters; summary, diff and regress still read
+        them."""
+        def old_entry(ts, wall, warmup):
+            snap = {
+                "format": "repro.telemetry/1",
+                "metrics": {
+                    "counters": {
+                        "exec.points": 90,
+                        "exec.wall_seconds": wall,
+                        "exec.compute_seconds": 0.05,
+                        "exec.warmup_seconds": warmup,
+                        "exec.ipc_seconds": 0.01,
+                        "exec.chunks": 8,
+                        "exec.worker.plan_cache.hits": 12,
+                        "exec.worker.plan_cache.misses": 0,
+                    },
+                    "gauges": {"exec.workers": {"value": 2}},
+                    "histograms": {},
+                },
+            }
+            return {
+                "format": "repro.telemetry.ledger/1",
+                "bench": "sweep.dse.point",
+                "ts": ts,
+                "run_id": f"old{ts}",
+                "provenance": {"git": {"sha": "b" * 40, "dirty": False}},
+                "params": {"experiments": ["dse.point"], "points": 90},
+                "timings": {
+                    "wall_seconds": wall,
+                    "warmup_seconds": warmup,
+                    "ipc_seconds": 0.01,
+                    "compute_seconds": 0.05,
+                },
+                "flags": {"workers": 2, "chunks": 8, "cached": 0},
+                "gates": [],
+                "telemetry": snap,
+            }
+
+        ledger_path = tmp_path / "ledger.jsonl"
+        entries = [old_entry(1.0, 0.1, 0.04), old_entry(2.0, 0.2, 0.08)]
+        ledger_path.write_text("".join(json.dumps(e) + "\n" for e in entries))
+        snap_path = tmp_path / "snapshot.json"
+        snap_path.write_text(json.dumps(entries[-1]["telemetry"]))
+
+        assert main(["telemetry", "summary", str(snap_path)]) == 0
+        out = capsys.readouterr().out
+        assert "exec pool overhead" in out
+        assert "ipc 0.010 s over 8 chunks" in out
+        assert main(
+            ["telemetry", "diff", f"{ledger_path}#0", f"{ledger_path}#-1"]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "warmup_seconds" in out and "wall_seconds" in out
+        assert main(["telemetry", "regress", str(ledger_path)]) == 0
+
     def test_regress_fails_on_failed_gate(self, ledger_path, capsys):
         assert main(
             ["telemetry", "regress", str(ledger_path), "--baseline-window", "5"]
