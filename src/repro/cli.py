@@ -525,9 +525,8 @@ def cmd_program_dump(args) -> int:
     stats = _segment_stats(compiled, mems) if args.stats else None
     fusion = None
     if mems:
-        from .program import fusion_plan, warm_plans
+        from .program import fusion_plan
 
-        warm_plans(compiled, mems)
         fusion = fusion_plan(compiled, mems).summary()
     if args.json_out is not None:
         import json

@@ -9,7 +9,9 @@ evaluation over ``p*q`` coordinates, a conflict check and a
 permutation-validated shuffle, per ``step()``.
 
 :func:`compile_plan` performs that derivation once per
-``(rows, cols, p, q, scheme, kind, stride)`` key and caches the result.
+``(rows, cols, p, q, scheme, kind, stride)`` key and caches the result;
+its geometry-free residue tables are memoized once per
+``(p, q, scheme, kind, stride)`` core and shared by every geometry.
 The insight making this exact (not approximate) is that every MAF of
 :mod:`repro.core.schemes` is periodic in each coordinate with period
 ``P = p * q``, and the addressing function splits into an anchor *base*
@@ -49,7 +51,6 @@ __all__ = [
     "AccessPlan",
     "AccessTrace",
     "compile_plan",
-    "compile_plan_batch",
     "plan_cache_stats",
     "DENSE_SLOT_LIMIT",
     "TraceKernel",
@@ -57,17 +58,6 @@ __all__ = [
     "derive_kernel",
     "run_kernel",
 ]
-
-#: every plan family ever compiled in this process, in compile order.
-#: Appended on cache *misses* only (the memoized body runs once per key),
-#: so :func:`compile_plan_batch` can skip families already built — it is
-#: a superset of the live LRU contents when eviction has occurred.
-_compiled_keys: dict[tuple, None] = {}
-
-#: plans pre-built by :func:`compile_plan_batch`, waiting to be adopted by
-#: the memoized :func:`compile_plan` body (which pops them on its next
-#: miss for the key).  Never more than one batch's worth of entries live.
-_batch_built: dict[tuple, "AccessPlan"] = {}
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -157,24 +147,73 @@ class AccessPlan:
         """Per-anchor conflict-freedom mask."""
         return self.ok[anchors_i % self.period, anchors_j % self.period]
 
-    def banks_many(self, anchors_i: np.ndarray, anchors_j: np.ndarray) -> np.ndarray:
-        """``(B, lanes)`` bank ids (int16 table gather)."""
-        return self.bank_table[anchors_i % self.period, anchors_j % self.period]
-
-    def addrs_many(self, anchors_i: np.ndarray, anchors_j: np.ndarray) -> np.ndarray:
-        """``(B, lanes)`` in-bank addresses."""
-        base = (anchors_i // self.p) * self.blocks_per_row + (anchors_j // self.q)
-        return base[:, None] + self.addr_delta[anchors_i % self.p, anchors_j % self.q]
-
     def slots_many(self, anchors_i: np.ndarray, anchors_j: np.ndarray) -> np.ndarray:
         """``(B, lanes)`` flat ``bank * depth + address`` slot ids.
 
-        One fused-table gather plus the anchor-base add — the whole-trace
-        replay path lives on this."""
+        One fused-table gather plus the anchor-base add — the trace
+        executor and :meth:`~repro.core.polymem.PolyMem.read_batch` /
+        ``write_batch`` address the banks through this."""
         base = (anchors_i // self.p) * self.blocks_per_row + (anchors_j // self.q)
         return base[:, None] + self.slot_delta[
             anchors_i % self.period, anchors_j % self.period
         ]
+
+
+@dataclass(frozen=True)
+class _ResidueCore:
+    """The geometry-free half of a plan family (see :func:`_residue_core`)."""
+
+    di: np.ndarray
+    dj: np.ndarray
+    bank_table: np.ndarray
+    lane_of_bank: np.ndarray
+    ok: np.ndarray
+    #: block-row / block-column carry of each lane per anchor residue,
+    #: ``(p, 1, lanes)`` and ``(1, q, lanes)``: ``addr_delta`` is
+    #: ``row_carry * blocks_per_row + col_carry``
+    row_carry: np.ndarray
+    col_carry: np.ndarray
+
+
+@lru_cache(maxsize=256)
+def _residue_core(
+    p: int, q: int, scheme: Scheme, kind: PatternKind, stride: int
+) -> _ResidueCore:
+    """The bank, conflict and inverse-permutation tables (plus the
+    block-offset carries) of one ``(p, q, scheme, kind, stride)`` core.
+
+    Every MAF is periodic with period ``P = p * q`` whatever the memory's
+    ``(rows, cols)``, so these tables depend only on the lane grid, the
+    scheme and the pattern; sibling geometries (the DSE sweeps many) share
+    one read-only copy."""
+    di, dj = pattern_offsets(kind, p, q, stride)
+    period = p * q
+    res = np.arange(period, dtype=np.int64)
+    # (P, 1, L) x (1, P, L) broadcast: every MAF mixes i and j terms
+    ii = res[:, None, None] + di[None, None, :]
+    jj = res[None, :, None] + dj[None, None, :]
+    bank_table = flat_module_assignment(scheme, ii, jj, p, q)
+    bank_table = np.broadcast_to(
+        bank_table, (period, period, p * q)
+    ).astype(np.int16)
+    sorted_b = np.sort(bank_table, axis=-1)
+    ok = ~(sorted_b[..., 1:] == sorted_b[..., :-1]).any(axis=-1)
+    if p * q == 1:
+        ok = np.ones((period, period), dtype=bool)
+    # argsort of a permutation row is its inverse; stable sort keeps the
+    # result deterministic on conflicting (non-permutation) rows too
+    lane_of_bank = np.argsort(bank_table, axis=-1, kind="stable").astype(np.int16)
+    rp = np.arange(p, dtype=np.int64)
+    rq = np.arange(q, dtype=np.int64)
+    return _ResidueCore(
+        di=di,
+        dj=dj,
+        bank_table=_readonly(np.ascontiguousarray(bank_table)),
+        lane_of_bank=_readonly(np.ascontiguousarray(lane_of_bank)),
+        ok=_readonly(ok),
+        row_carry=_readonly((rp[:, None, None] + di[None, None, :]) // p),
+        col_carry=_readonly((rq[None, :, None] + dj[None, None, :]) // q),
+    )
 
 
 @lru_cache(maxsize=256)
@@ -193,38 +232,19 @@ def compile_plan(
     geometry shares the same compiled tables (they are immutable).  The
     LRU bound (256) is sized to hold every Table III family (~112) plus
     runtime extras, so a long-lived process keeps every family resident.
+    The residue tables come from the memoized :func:`_residue_core`, so
+    only the geometry's address tables are built per family.
     """
     kind = PatternKind(kind)
     scheme = Scheme(scheme)
-    _compiled_keys[(rows, cols, p, q, scheme, kind, stride)] = None
-    prebuilt = _batch_built.pop((rows, cols, p, q, scheme, kind, stride), None)
-    if prebuilt is not None:
-        return prebuilt
-    di, dj = pattern_offsets(kind, p, q, stride)
+    core = _residue_core(p, q, scheme, kind, stride)
+    di, dj = core.di, core.dj
     period = p * q
     res = np.arange(period, dtype=np.int64)
-    # (P, 1, L) x (1, P, L) broadcast: every MAF mixes i and j terms
-    ii = res[:, None, None] + di[None, None, :]
-    jj = res[None, :, None] + dj[None, None, :]
-    bank_table = flat_module_assignment(scheme, ii, jj, p, q)
-    bank_table = np.broadcast_to(
-        bank_table, (period, period, p * q)
-    ).astype(np.int16)
-    sorted_b = np.sort(bank_table, axis=-1)
-    ok = ~(sorted_b[..., 1:] == sorted_b[..., :-1]).any(axis=-1)
-    if p * q == 1:
-        ok = np.ones((period, period), dtype=bool)
-    # argsort of a permutation row is its inverse; stable sort keeps the
-    # result deterministic on conflicting (non-permutation) rows too
-    lane_of_bank = np.argsort(bank_table, axis=-1, kind="stable").astype(np.int16)
     blocks_per_row = cols // q
-    rp = np.arange(p, dtype=np.int64)
-    rq = np.arange(q, dtype=np.int64)
-    addr_delta = ((rp[:, None, None] + di[None, None, :]) // p) * blocks_per_row + (
-        (rq[None, :, None] + dj[None, None, :]) // q
-    )
+    addr_delta = core.row_carry * blocks_per_row + core.col_carry
     bank_depth = (rows // p) * blocks_per_row
-    slot_delta = bank_table.astype(np.int64) * bank_depth + addr_delta[
+    slot_delta = core.bank_table.astype(np.int64) * bank_depth + addr_delta[
         res[:, None] % p, res[None, :] % q
     ]
     return AccessPlan(
@@ -242,115 +262,14 @@ def compile_plan(
         j_lo=int(-dj.min()) if dj.size else 0,
         j_hi=cols - 1 - int(dj.max()) if dj.size else cols - 1,
         period=period,
-        bank_table=_readonly(np.ascontiguousarray(bank_table)),
-        lane_of_bank=_readonly(np.ascontiguousarray(lane_of_bank)),
-        ok=_readonly(ok),
+        bank_table=core.bank_table,
+        lane_of_bank=core.lane_of_bank,
+        ok=core.ok,
         addr_delta=_readonly(addr_delta),
-        slot_delta=_readonly(np.ascontiguousarray(slot_delta)),
+        slot_delta=_readonly(slot_delta),
         blocks_per_row=blocks_per_row,
         bank_depth=bank_depth,
     )
-
-
-def _normalize_plan_key(key) -> tuple:
-    rows, cols, p, q, scheme, kind, *rest = key
-    stride = int(rest[0]) if rest else 1
-    return (
-        int(rows), int(cols), int(p), int(q),
-        Scheme(scheme), PatternKind(kind), stride,
-    )
-
-
-def compile_plan_batch(keys) -> dict[tuple, AccessPlan]:
-    """Compile a whole grid of plan families in shared broadcast passes.
-
-    *keys* are ``(rows, cols, p, q, scheme, kind[, stride])`` tuples as
-    accepted by :func:`compile_plan`.  Families not yet resident are
-    grouped by their residue *core* ``(p, q, scheme, kind, stride)``: the
-    bank/ok/inverse-permutation tables depend only on the core (every MAF
-    is periodic with period ``P = p * q``, independent of the geometry),
-    and the address tables are linear in the geometry —
-    ``addr_delta = A * blocks_per_row + B`` with core-only ``A``/``B`` —
-    so one residue build covers every ``(rows, cols)`` member of the core
-    via two integer broadcasts, with arithmetic identical to the scalar
-    body's (bit-identical tables; the core members share the read-only
-    residue arrays instead of owning copies).
-
-    Each pre-built plan is adopted by the memoized :func:`compile_plan`
-    (its body pops :data:`_batch_built` on the miss), so batch-built
-    families land in the same process-wide LRU with the same miss
-    accounting — single-config callers are unaffected and later scalar
-    lookups hit.  Returns ``{normalized key: plan}`` for every input key.
-    """
-    normd = [_normalize_plan_key(k) for k in keys]
-    fresh = [k for k in dict.fromkeys(normd) if k not in _compiled_keys]
-    by_core: dict[tuple, list[tuple]] = {}
-    for k in fresh:
-        rows, cols, p, q, scheme, kind, stride = k
-        by_core.setdefault((p, q, scheme, kind, stride), []).append(k)
-    for (p, q, scheme, kind, stride), members in by_core.items():
-        di, dj = pattern_offsets(kind, p, q, stride)
-        period = p * q
-        res = np.arange(period, dtype=np.int64)
-        ii = res[:, None, None] + di[None, None, :]
-        jj = res[None, :, None] + dj[None, None, :]
-        bank_table = flat_module_assignment(scheme, ii, jj, p, q)
-        bank_table = np.broadcast_to(
-            bank_table, (period, period, p * q)
-        ).astype(np.int16)
-        sorted_b = np.sort(bank_table, axis=-1)
-        ok = ~(sorted_b[..., 1:] == sorted_b[..., :-1]).any(axis=-1)
-        if p * q == 1:
-            ok = np.ones((period, period), dtype=bool)
-        lane_of_bank = np.argsort(
-            bank_table, axis=-1, kind="stable"
-        ).astype(np.int16)
-        rp = np.arange(p, dtype=np.int64)
-        rq = np.arange(q, dtype=np.int64)
-        delta_a = (rp[:, None, None] + di[None, None, :]) // p
-        delta_b = (rq[None, :, None] + dj[None, None, :]) // q
-        bank64 = bank_table.astype(np.int64)
-        res_p = res[:, None] % p
-        res_q = res[None, :] % q
-        bank_table = _readonly(np.ascontiguousarray(bank_table))
-        lane_of_bank = _readonly(np.ascontiguousarray(lane_of_bank))
-        ok = _readonly(ok)
-        i_lo = int(-di.min()) if di.size else 0
-        j_lo = int(-dj.min()) if dj.size else 0
-        for rows, cols, *_ in members:
-            blocks_per_row = cols // q
-            addr_delta = delta_a * blocks_per_row + delta_b
-            bank_depth = (rows // p) * blocks_per_row
-            slot_delta = bank64 * bank_depth + addr_delta[res_p, res_q]
-            _batch_built[(rows, cols, p, q, scheme, kind, stride)] = AccessPlan(
-                rows=rows,
-                cols=cols,
-                p=p,
-                q=q,
-                scheme=scheme,
-                kind=kind,
-                stride=stride,
-                di=di,
-                dj=dj,
-                i_lo=i_lo,
-                i_hi=rows - 1 - int(di.max()) if di.size else rows - 1,
-                j_lo=j_lo,
-                j_hi=cols - 1 - int(dj.max()) if dj.size else cols - 1,
-                period=period,
-                bank_table=bank_table,
-                lane_of_bank=lane_of_bank,
-                ok=ok,
-                addr_delta=_readonly(addr_delta),
-                slot_delta=_readonly(np.ascontiguousarray(slot_delta)),
-                blocks_per_row=blocks_per_row,
-                bank_depth=bank_depth,
-            )
-    if fresh:
-        tel = _telemetry.active()
-        if tel is not None:
-            tel.metrics.counter("polymem.plan_batch.families").inc(len(fresh))
-            tel.metrics.counter("polymem.plan_batch.cores").inc(len(by_core))
-    return {k: compile_plan(*k) for k in dict.fromkeys(normd)}
 
 
 def plan_cache_stats() -> dict:

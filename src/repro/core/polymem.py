@@ -20,8 +20,10 @@ Four access paths exist:
   the fixed combinational logic of Fig. 3).  The scalar tick simulator
   issues one per simulated cycle;
 * the **batch path** (:meth:`read_batch`, :meth:`write_batch`) — a
-  vectorized fast path for the batched tick engine that fancy-indexes the
-  bank array directly and counts cycles the same way;
+  vectorized fast path for the batched tick engine: a batch of one
+  pattern resolves to flat ``bank * depth + address`` slot ids
+  (:meth:`~repro.core.plan.AccessPlan.slots_many`), the same addressing
+  the trace executor uses, and counts cycles the same way;
 * the **trace executor** (:meth:`replay`) — executes a whole
   :class:`~repro.core.plan.AccessTrace` (multi-port reads plus a write
   stream, N cycles) by deriving its
@@ -62,6 +64,7 @@ from .plan import (
     AccessPlan,
     AccessTrace,
     TraceKernel,
+    charge_trace,
     compile_plan,
     derive_kernel,
     run_kernel,
@@ -346,8 +349,11 @@ class PolyMem:
         self.step(write=(req, np.asarray(values)))
 
     # -- vectorized batch path -----------------------------------------------
-    def _batch_anchors(self, kind: PatternKind, anchors_i, anchors_j, stride: int):
-        """Normalize batch anchors and fetch the plan; bounds-checked."""
+    def _batch_slots(
+        self, kind: PatternKind, anchors_i, anchors_j, check: bool, stride: int = 1
+    ) -> np.ndarray:
+        """Bounds-check a batch of anchors (and, with *check*, conflict-check
+        it) and resolve it to ``(B, lanes)`` flat slot ids."""
         anchors_i = np.asarray(anchors_i, dtype=np.int64)
         anchors_j = np.asarray(anchors_j, dtype=np.int64)
         if anchors_i.shape != anchors_j.shape or anchors_i.ndim != 1:
@@ -358,14 +364,6 @@ class PolyMem:
                 f"batch of {PatternKind(kind)} accesses exceeds the "
                 f"{self.rows}x{self.cols} space"
             )
-        return plan, anchors_i, anchors_j
-
-    def _expand_batch(
-        self, kind: PatternKind, anchors_i, anchors_j, check: bool, stride: int = 1
-    ):
-        plan, anchors_i, anchors_j = self._batch_anchors(
-            kind, anchors_i, anchors_j, stride
-        )
         if check and anchors_i.size:
             ok = plan.ok_mask(anchors_i, anchors_j)
             if not ok.all():
@@ -375,10 +373,7 @@ class PolyMem:
                     f"({anchors_i[bad]},{anchors_j[bad]})) is not conflict-free "
                     f"under {self.scheme}"
                 )
-        return (
-            plan.banks_many(anchors_i, anchors_j),
-            plan.addrs_many(anchors_i, anchors_j),
-        )
+        return plan.slots_many(anchors_i, anchors_j)
 
     def access_slots(
         self, kind: PatternKind, anchors_i, anchors_j, stride: int = 1
@@ -389,14 +384,9 @@ class PolyMem:
         The batched tick engine uses this to prove, before fast-forwarding
         a chunk, that the chunk's reads and writes touch disjoint physical
         slots (so read-before-write ordering inside the chunk cannot be
-        observed) and that its writes never overlap each other (so
-        :meth:`write_batch`'s fancy-indexed assignment matches sequential
-        issue order).
+        observed) and that its writes never overlap each other.
         """
-        plan, anchors_i, anchors_j = self._batch_anchors(
-            kind, anchors_i, anchors_j, stride
-        )
-        return plan.slots_many(anchors_i, anchors_j)
+        return self._batch_slots(kind, anchors_i, anchors_j, False, stride)
 
     def read_batch(
         self,
@@ -413,17 +403,9 @@ class PolyMem:
         """
         if not 0 <= port < self.read_ports:
             raise PortError(f"read port {port} out of range [0, {self.read_ports})")
-        banks, addrs = self._expand_batch(kind, anchors_i, anchors_j, check, stride)
-        out = self.banks.read(port, banks, addrs)
-        n = banks.shape[0]
-        self.cycles += n
-        self.read_stats[port].accesses += n
-        self.read_stats[port].elements += n * self.lanes
-        tel = _telemetry.active()
-        if tel is not None:
-            m = tel.metrics
-            m.counter("polymem.cycles.batch").inc(n)
-            m.counter("polymem.parallel_accesses").inc(n)
+        slots = self._batch_slots(kind, anchors_i, anchors_j, check, stride)
+        out = self.banks.read_slots(port, slots)
+        charge_trace(self, slots.shape[0], (port,), False, "polymem.cycles.batch")
         return out
 
     def write_batch(
@@ -431,29 +413,19 @@ class PolyMem:
     ) -> None:
         """Vectorized sequence of parallel writes; *values* is ``(B, p*q)``.
 
-        Later accesses in the batch observe earlier writes (sequential
-        semantics), which fancy-index assignment provides as long as the
-        batch is conflict-free per access — overlapping *anchors* between
-        accesses follow NumPy's last-write-wins, matching hardware issue
-        order only for non-overlapping batches; pass overlapping sequences
-        through :meth:`write` instead.
+        Equivalent to issuing the ``B`` writes one :meth:`write` at a time,
+        also when accesses overlap: each access is conflict-free, so its own
+        slots are distinct, and where later accesses reuse a slot the
+        flat-slot scatter keeps the value latest in issue order.
         """
         values = np.asarray(values)
-        banks, addrs = self._expand_batch(kind, anchors_i, anchors_j, check)
-        if values.shape != banks.shape:
+        slots = self._batch_slots(kind, anchors_i, anchors_j, check)
+        if values.shape != slots.shape:
             raise PatternError(
-                f"write_batch expects values shaped {banks.shape}, got {values.shape}"
+                f"write_batch expects values shaped {slots.shape}, got {values.shape}"
             )
-        self.banks.write(banks, addrs, values)
-        n = banks.shape[0]
-        self.cycles += n
-        self.write_stats.accesses += n
-        self.write_stats.elements += n * self.lanes
-        tel = _telemetry.active()
-        if tel is not None:
-            m = tel.metrics
-            m.counter("polymem.cycles.batch").inc(n)
-            m.counter("polymem.parallel_accesses").inc(n)
+        self.banks.write_slots(slots, values)
+        charge_trace(self, slots.shape[0], (), True, "polymem.cycles.batch")
 
     # -- whole-trace replay ----------------------------------------------------
     def replay(self, trace: AccessTrace) -> dict[int, np.ndarray]:

@@ -45,47 +45,90 @@ class ExperimentRow:
     measured_value: float | None = None
 
 
-def _table1_rows() -> list[ExperimentRow]:
-    from .core.conflict import ConflictAnalyzer
-    from .core.patterns import PatternKind
+def _table1_expected() -> tuple[dict, dict]:
+    """Table I on the 2×4 grid as ``{scheme: {pattern: anchor condition}}``,
+    and the allowances in the same form: measured domains the paper does
+    not list, each derived from the MAFs.
+
+    Conditions are :class:`~repro.core.conflict.AnchorDomain` labels:
+    ``"any"`` anchor, ``"i_aligned"`` (``i ≡ 0 mod p``) or ``"aligned"``
+    (``i ≡ 0 mod p`` and ``j ≡ 0 mod q``).
+    """
+    from .core.patterns import PatternKind as K
     from .core.schemes import Scheme
 
-    expected = {
-        Scheme.ReO: {PatternKind.RECTANGLE},
+    paper = {
+        Scheme.ReO: {K.RECTANGLE: "any"},
         Scheme.ReRo: {
-            PatternKind.RECTANGLE,
-            PatternKind.ROW,
-            PatternKind.MAIN_DIAGONAL,
-            PatternKind.ANTI_DIAGONAL,
+            K.RECTANGLE: "any",
+            K.ROW: "any",
+            K.MAIN_DIAGONAL: "any",
+            K.ANTI_DIAGONAL: "any",
         },
         Scheme.ReCo: {
-            PatternKind.RECTANGLE,
-            PatternKind.COLUMN,
-            PatternKind.MAIN_DIAGONAL,
-            PatternKind.ANTI_DIAGONAL,
+            K.RECTANGLE: "any",
+            K.COLUMN: "any",
+            K.MAIN_DIAGONAL: "any",
+            K.ANTI_DIAGONAL: "any",
         },
-        Scheme.RoCo: {
-            PatternKind.ROW,
-            PatternKind.COLUMN,
-            PatternKind.RECTANGLE,
-        },
-        Scheme.ReTr: {
-            PatternKind.RECTANGLE,
-            PatternKind.TRANSPOSED_RECTANGLE,
-        },
+        Scheme.RoCo: {K.ROW: "any", K.COLUMN: "any", K.RECTANGLE: "i_aligned"},
+        Scheme.ReTr: {K.RECTANGLE: "any", K.TRANSPOSED_RECTANGLE: "any"},
     }
-    table = ConflictAnalyzer(2, 4).table()
+    allowed = {
+        # RoCo banks element (x, y) at ((x + y div q) mod p, (x div p + y) mod q).
+        # Lane k of the anti-diagonal at (i, j) is (i + k, j - k).  With
+        # i ≡ 0 (mod 2) and j ≡ 0 (mod 4) on 2×4, its column bank is
+        # (i/2 + j - ceil(k/2)) mod 4, pairing lanes {1,2} {3,4} {5,6} {7,0};
+        # its row bank is (k - ceil(k/4) + j/4) mod 2, which differs within
+        # every pair, so all 8 banks are distinct.  Exhaustively, the access
+        # is conflict-free exactly when i + j is even: a set holding every
+        # aligned anchor but neither every i- nor every j-aligned one, which
+        # the analyzer labels "aligned".
+        Scheme.RoCo: {K.ANTI_DIAGONAL: "aligned"},
+    }
+    return paper, allowed
+
+
+def _describe_domains(conds: dict) -> str:
+    return ", ".join(
+        k.value if c == "any" else f"{k.value} ({c})"
+        for k, c in sorted(conds.items(), key=lambda kc: kc[0].value)
+    )
+
+
+def _table1_rows(table=None) -> list[ExperimentRow]:
+    """One row per scheme: the measured ``{pattern: condition}`` map must
+    equal the paper's plus the listed allowances exactly — an extra, a
+    missing pattern or a different condition fails, and the measured
+    column names the entries that differ.  *table* is a
+    :meth:`~repro.core.conflict.ConflictAnalyzer.table` result (default:
+    measured on the 2×4 grid)."""
+    from .core.conflict import ConflictAnalyzer
+
+    if table is None:
+        table = ConflictAnalyzer(2, 4).table()
+    paper, allowed = _table1_expected()
     rows = []
-    for scheme, patterns in expected.items():
-        got = {k for k, d in table[scheme].items() if d.label != "none"}
-        ok = patterns <= got
+    for scheme, listed in paper.items():
+        extra = allowed.get(scheme, {})
+        want = {**listed, **extra}
+        got = {k: d.label for k, d in table[scheme].items() if d.label != "none"}
+        measured = ", ".join(sorted(k.value for k in got))
+        off = [
+            f"{k.value}: {got.get(k, 'none')}"
+            for k in sorted(got.keys() | want.keys(), key=lambda k: k.value)
+            if got.get(k) != want.get(k)
+        ]
+        if off:
+            measured += f" [off Table I: {'; '.join(off)}]"
         rows.append(
             ExperimentRow(
                 "Table I",
                 f"{scheme.value} patterns",
-                ", ".join(sorted(p.value for p in patterns)),
-                ", ".join(sorted(p.value for p in got)),
-                ok,
+                _describe_domains(listed)
+                + (f" + allowed: {_describe_domains(extra)}" if extra else ""),
+                measured,
+                not off,
             )
         )
     return rows

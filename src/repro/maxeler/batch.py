@@ -8,9 +8,10 @@ kernel (registration order), validates that a chunk of ``n`` cycles is
 safe against stream occupancy/headroom, orders the sub-activities along
 the dataflow dependencies, and executes each as one vectorized call.
 
-Why sub-activities instead of whole-kernel ``tick_many``?  Feedback loops.
-In Fig. 9's STREAM design the controller consumes, mid-chunk, data the
-PolyMem kernel produces mid-chunk — and vice versa.  No whole-kernel
+Why sub-activities instead of fast-forwarding whole kernels one after
+another?  Feedback loops.  In Fig. 9's STREAM design the controller
+consumes, mid-chunk, data the PolyMem kernel produces mid-chunk — and
+vice versa.  No whole-kernel
 order can satisfy both, but the kernels' *sub*-machines (command issue,
 pipeline retire, write drain, ...) form an acyclic graph, because the
 only cycle-carrying dependency (read data feeding writes) is broken by

@@ -27,7 +27,7 @@ from ..core.agu import AccessRequest
 from ..core.config import PolyMemConfig
 from ..core.exceptions import ConflictError
 from ..core.patterns import AccessPattern, PatternKind
-from ..core.plan import compile_plan, compile_plan_batch
+from ..core.plan import compile_plan
 from ..core.schemes import SCHEME_SPECS
 from .design import PolyMemDesign
 from .kernel import WriteCommand
@@ -40,19 +40,6 @@ __all__ = [
     "validate_configs",
     "validate_points_batch",
 ]
-
-
-def _validation_plan_keys(config: PolyMemConfig) -> list[tuple]:
-    """The plan-family keys one §IV-A cycle touches."""
-    p, q = config.p, config.q
-    kinds = {PatternKind.RECTANGLE}
-    for entry in SCHEME_SPECS[config.scheme].supported:
-        if entry.condition_holds(p, q):
-            kinds.add(entry.kind)
-    return [
-        (config.rows, config.cols, p, q, config.scheme, kind, 1)
-        for kind in kinds
-    ]
 
 
 @dataclass
@@ -194,12 +181,12 @@ def conflict_free_chunk(
     Returns an ``(N, B)`` boolean mask: entry ``[n, b]`` is True when the
     *kind* access anchored at ``(anchors_i[b], anchors_j[b])`` is in
     bounds *and* bank-conflict-free for ``configs[n]``.  The vectorized
-    path compiles every plan family through one
-    :func:`~repro.core.plan.compile_plan_batch` build and, per lane grid,
-    stacks the residue ``ok`` tables of the distinct families so the whole
-    chunk resolves in one fancy-indexed gather; ``vectorized=False`` is
-    the scalar per-anchor reference the hypothesis parity suite pins the
-    fast path against (bit-identical masks and errors).
+    path stacks, per lane grid, the residue ``ok`` tables of the distinct
+    plan families (sibling geometries share one memoized residue core)
+    so the whole chunk resolves in one fancy-indexed gather;
+    ``vectorized=False`` is the scalar per-anchor reference the
+    hypothesis parity suite pins the fast path against (bit-identical
+    masks and errors).
 
     ``policy="forbid"`` raises :class:`~repro.core.exceptions.ConflictError`
     for the first failing ``(config, anchor)`` in config-major order —
@@ -223,7 +210,7 @@ def conflict_free_chunk(
                 i, j = int(ai[b]), int(aj[b])
                 out[n, b] = plan.fits(i, j) and plan.conflict_free(i, j)
     else:
-        plans = compile_plan_batch(keys)
+        plans = {key: compile_plan(*key) for key in dict.fromkeys(keys)}
         by_grid: dict[tuple[int, int], list[int]] = {}
         for n, key in enumerate(keys):
             by_grid.setdefault((key[2], key[3]), []).append(n)
@@ -302,8 +289,8 @@ def validate_points_batch(
     """Vectorized :func:`validate_config` over a config array.
 
     Configs are grouped by geometry family ``(rows, cols, p, q)``; each
-    family shares one batched plan-table build
-    (:func:`~repro.core.plan.compile_plan_batch`), one fill anchor chunk
+    family shares the memoized residue tables of its plans
+    (:func:`~repro.core.plan.compile_plan`), one fill anchor chunk
     checked across all schemes by :func:`conflict_free_chunk`, and one
     slot-image fill/readback pass per scheme (read ports only replicate
     the readback, so sibling port counts reuse the same pass).  Any
@@ -314,9 +301,6 @@ def validate_points_batch(
     """
     configs = list(configs)
     payloads: list[dict | None] = [None] * len(configs)
-    compile_plan_batch(
-        [key for cfg in configs for key in _validation_plan_keys(cfg)]
-    )
     geo_groups: dict[tuple, list[int]] = {}
     for n, cfg in enumerate(configs):
         geo_groups.setdefault((cfg.rows, cfg.cols, cfg.p, cfg.q), []).append(n)

@@ -36,7 +36,6 @@ from .fuse import (
     KernelCache,
     fusion_plan,
     kernel_cache,
-    warm_kernels,
 )
 from .ir import (
     AccessOp,
@@ -52,7 +51,6 @@ from .passes import (
     TraceStep,
     compile_program,
     validate_program,
-    warm_plans,
 )
 from .report import CycleScope, KernelReport
 
@@ -80,9 +78,7 @@ __all__ = [
     "execute",
     "fusion_plan",
     "kernel_cache",
-    "warm_kernels",
     "op_slots",
     "slot_disjoint",
     "validate_program",
-    "warm_plans",
 ]

@@ -34,7 +34,7 @@ from ..telemetry import context as _telemetry
 from ..telemetry.observers import TelemetryObserver
 from .fuse import fusion_plan
 from .ir import AccessProgram, Compute
-from .passes import CompiledProgram, compile_program, warm_plans
+from .passes import CompiledProgram, compile_program
 from .report import CycleScope, KernelReport
 
 __all__ = ["Observer", "ProgramResult", "execute"]
@@ -133,7 +133,6 @@ def execute(
         observers = (*observers, TelemetryObserver(tel))
     prog = compiled.program
     mems = _resolve_mems(compiled, polymem)
-    warm_plans(compiled, mems)
     fused = fusion_plan(compiled, mems)
     env = dict(env or {})
     scope_mems = [mems[name] for name in compiled.mems]

@@ -61,7 +61,6 @@ __all__ = [
     "KernelCache",
     "fusion_plan",
     "kernel_cache",
-    "warm_kernels",
 ]
 
 #: version tag of the kernel-key format; bump on any change to the key
@@ -400,16 +399,6 @@ class FusionPlan:
                 self._publish(segment, step, outputs, mem, env, observers)
 
 
-def _group_kernels(compiled, mems: Mapping[str, Any]):
-    """Yield ``(group, kernel, hit)`` for every barrier-free segment
-    group of *compiled*, building and caching the kernel on a miss."""
-    for group in _split_groups(compiled.segments):
-        kernel, hit = kernel_cache.ensure(
-            group_key(group, mems), lambda: _build_group_kernel(group, mems)
-        )
-        yield group, kernel, hit
-
-
 def fusion_plan(compiled, mems: Mapping[str, Any]) -> FusionPlan:
     """Specialize *compiled* against *mems*: the engine's entry.
 
@@ -419,7 +408,10 @@ def fusion_plan(compiled, mems: Mapping[str, Any]) -> FusionPlan:
     """
     units: dict[int, tuple] = {}
     n_groups = hits = 0
-    for group, kernel, hit in _group_kernels(compiled, mems):
+    for group in _split_groups(compiled.segments):
+        kernel, hit = kernel_cache.ensure(
+            group_key(group, mems), lambda: _build_group_kernel(group, mems)
+        )
         n_groups += 1
         hits += hit
         units.update((seg.index, seg_units) for seg, seg_units in zip(group, kernel))
@@ -433,13 +425,3 @@ def fusion_plan(compiled, mems: Mapping[str, Any]) -> FusionPlan:
         m.counter("program.fusion.fallback_steps").inc(plan.n_fallback_steps)
     return plan
 
-
-def warm_kernels(compiled, mems: Mapping[str, Any]) -> int:
-    """Pre-build every group kernel *compiled* needs into
-    :data:`kernel_cache`, so the first fused execution is a pure cache
-    hit; returns the number of kernels built fresh.
-    """
-    from .passes import warm_plans
-
-    warm_plans(compiled, mems)
-    return sum(not hit for _, _, hit in _group_kernels(compiled, mems))

@@ -27,21 +27,22 @@ issuing the ops one trace each:
   starts a new trace.
 
 The residue-table half of compilation (:func:`~repro.core.plan.compile_plan`)
-is warmed lazily by :func:`warm_plans` once the engine knows the target
-geometry; warming never raises, so error *timing* is identical to the
-hand-built paths.
+needs the target geometry, so it happens lazily, through
+:meth:`~repro.core.polymem.PolyMem.plan`, when the engine derives each
+trace's kernel; errors therefore surface at the exact trace the
+hand-built paths would raise them at.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Mapping
 
 import numpy as np
 
-from ..core.exceptions import PolyMemError, ProgramError
+from ..core.exceptions import ProgramError
 from ..core.patterns import PatternKind
-from ..core.plan import AccessTrace, compile_plan
+from ..core.plan import AccessTrace
 from .ir import AccessOp, AccessProgram, Barrier, Compute, ParallelRead, ParallelWrite
 
 __all__ = [
@@ -50,7 +51,6 @@ __all__ = [
     "TraceStep",
     "compile_program",
     "validate_program",
-    "warm_plans",
 ]
 
 
@@ -186,8 +186,6 @@ class CompiledProgram:
     segments: tuple
     #: memory names in first-use order (the CycleScope order)
     mems: tuple = ()
-    #: ``(mem, kind, stride)`` families touched — the plan-warming set
-    families: tuple = field(default=(), repr=False)
 
     @property
     def n_traces(self) -> int:
@@ -287,7 +285,6 @@ def compile_program(program: AccessProgram) -> CompiledProgram:
     segments: list[CompiledSegment] = []
     steps: list[TraceStep] = []
     mems: list[str] = []
-    families: set = set()
     group: _Group | None = None
 
     def flush_group() -> None:
@@ -307,10 +304,6 @@ def compile_program(program: AccessProgram) -> CompiledProgram:
             continue
         if op.mem not in mems:
             mems.append(op.mem)
-        for kind in (
-            [op.kind] if op.uniform else dict.fromkeys(op.kind)
-        ):
-            families.add((op.mem, kind, op.stride))
         if op.fuse:
             # validate_program guarantees an open group here
             group.fuse(op)
@@ -325,22 +318,5 @@ def compile_program(program: AccessProgram) -> CompiledProgram:
         program=program,
         segments=tuple(segments),
         mems=tuple(mems),
-        families=tuple(sorted(families)),
     )
 
-
-def warm_plans(compiled: CompiledProgram, mems: Mapping[str, Any]) -> None:
-    """Pre-compile the residue tables for every access family.
-
-    Warming is a pure cache fill (:func:`compile_plan` is memoized
-    process-wide); failures are swallowed so malformed accesses raise at
-    the exact replay the hand-built paths would have raised at.
-    """
-    for name, kind, stride in compiled.families:
-        pm = mems.get(name)
-        if pm is None:
-            continue
-        try:
-            compile_plan(pm.rows, pm.cols, pm.p, pm.q, pm.scheme, kind, stride)
-        except PolyMemError:
-            pass

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.agu import AccessRequest
 from repro.core.exceptions import ConflictError, PatternError, PortError
-from repro.core.patterns import PatternKind
+from repro.core.patterns import AccessPattern, PatternKind
 from repro.core.schemes import Scheme
 
 from ..conftest import make_polymem
@@ -202,6 +202,57 @@ class TestBatchPath:
         pm, _ = loaded_polymem
         with pytest.raises(PortError):
             pm.read_batch(PatternKind.ROW, np.array([0]), np.array([0]), port=3)
+
+    def test_overlapping_write_batch_matches_issue_order(self):
+        """Overlapping rectangles: later accesses win the shared slots,
+        exactly as sequential writes would leave them, on every replica."""
+        pm1 = make_polymem(Scheme.ReRo, read_ports=2)
+        pm2 = make_polymem(Scheme.ReRo, read_ports=2)
+        anchors_i = np.array([0, 1, 1, 0, 3, 2])
+        anchors_j = np.array([0, 2, 0, 0, 5, 3])
+        vals = np.arange(1, 49, dtype=np.uint64).reshape(6, 8)
+        pm1.write_batch(PatternKind.RECTANGLE, anchors_i, anchors_j, vals)
+        for k in range(6):
+            pm2.write(
+                PatternKind.RECTANGLE, int(anchors_i[k]), int(anchors_j[k]), vals[k]
+            )
+        for port in range(2):
+            assert (pm1.dump(port) == pm2.dump(port)).all(), port
+        assert pm1.cycles == pm2.cycles == 6
+        assert pm1.write_stats == pm2.write_stats
+
+    def test_read_batch_on_second_port(self):
+        pm = make_polymem(Scheme.RoCo, read_ports=2)
+        m = np.arange(pm.rows * pm.cols, dtype=np.uint64).reshape(pm.rows, pm.cols)
+        pm.load(m)
+        pm.write(PatternKind.ROW, 3, 4, np.arange(8) + 10_000)
+        anchors_i = np.array([3, 0, 7, 3])
+        anchors_j = np.array([4, 1, 0, 2])
+        batch = pm.read_batch(PatternKind.COLUMN, anchors_i, anchors_j, port=1)
+        for k in range(4):
+            single = pm.read(
+                PatternKind.COLUMN, int(anchors_i[k]), int(anchors_j[k]), port=1
+            )
+            assert (batch[k] == single).all(), k
+        assert pm.read_stats[1].accesses == 8 and pm.read_stats[0].accesses == 0
+        assert (pm.dump(0) == pm.dump(1)).all()
+
+    def test_strided_read_batch(self):
+        pm = make_polymem(Scheme.RoCo, read_ports=2)
+        m = np.arange(pm.rows * pm.cols, dtype=np.uint64).reshape(pm.rows, pm.cols)
+        pm.load(m)
+        pattern = AccessPattern(PatternKind.RECTANGLE, 2, 4, stride=2)
+        anchors_i = np.array([0, 5, 2])
+        anchors_j = np.array([0, 1, 3])
+        for port in range(2):
+            batch = pm.read_batch(
+                PatternKind.RECTANGLE, anchors_i, anchors_j, port=port, stride=2
+            )
+            for k in range(3):
+                i, j = int(anchors_i[k]), int(anchors_j[k])
+                assert (batch[k] == m[pattern.coordinates(i, j)]).all(), (port, k)
+                single = pm.read(PatternKind.RECTANGLE, i, j, port=port, stride=2)
+                assert (batch[k] == single).all(), (port, k)
 
 
 class TestMultiPortReplication:

@@ -1,8 +1,13 @@
 """Tests for the reproduction scorecard."""
 
+from dataclasses import replace
+
 import pytest
 
-from repro.experiments import ExperimentRow, render_report, run_all
+from repro.core.conflict import ConflictAnalyzer
+from repro.core.patterns import PatternKind
+from repro.core.schemes import Scheme
+from repro.experiments import ExperimentRow, _table1_rows, render_report, run_all
 
 
 @pytest.fixture(scope="module")
@@ -42,3 +47,50 @@ class TestScorecard:
         assert "14/14" in capsys.readouterr().out or "checks passed" in str(
             capsys
         )
+
+
+
+def _measured_table1():
+    return ConflictAnalyzer(2, 4).table()
+
+
+def _table1_verdicts(table):
+    return {r.quantity: r.ok for r in _table1_rows(table)}
+
+
+class TestTable1ExactCheck:
+    """Table I rows compare the measured {pattern: condition} map exactly
+    with the paper's plus the explicit allowances."""
+
+    def test_measured_table_passes(self):
+        verdicts = _table1_verdicts(_measured_table1())
+        assert len(verdicts) == 5 and all(verdicts.values()), verdicts
+
+    def test_unlisted_extra_pattern_fails(self):
+        table = _measured_table1()
+        col = table[Scheme.ReRo][PatternKind.COLUMN]
+        assert col.label == "none"
+        table[Scheme.ReRo][PatternKind.COLUMN] = replace(col, label="any")
+        verdicts = _table1_verdicts(table)
+        assert not verdicts["ReRo patterns"]
+        assert sum(not ok for ok in verdicts.values()) == 1
+        row = next(r for r in _table1_rows(table) if r.quantity == "ReRo patterns")
+        assert row.measured.endswith("[off Table I: column: any]")
+
+    def test_missing_pattern_fails(self):
+        table = _measured_table1()
+        rect = table[Scheme.ReTr][PatternKind.TRANSPOSED_RECTANGLE]
+        table[Scheme.ReTr][PatternKind.TRANSPOSED_RECTANGLE] = replace(
+            rect, label="none"
+        )
+        assert not _table1_verdicts(table)["ReTr patterns"]
+
+    def test_allowance_is_exact_too(self):
+        """The allowed RoCo anti-diagonal must carry its derived condition,
+        and dropping it fails as a missing pattern would."""
+        for label in ("any", "none"):
+            table = _measured_table1()
+            anti = table[Scheme.RoCo][PatternKind.ANTI_DIAGONAL]
+            assert anti.label == "aligned"
+            table[Scheme.RoCo][PatternKind.ANTI_DIAGONAL] = replace(anti, label=label)
+            assert not _table1_verdicts(table)["RoCo patterns"], label
