@@ -121,10 +121,17 @@ class BankArray:
     def write_slots(self, slots, values) -> None:
         """Broadcast-scatter *values* to flat slot ids on every replica.
 
-        Duplicate slot ids resolve to the value latest in flattened order
-        (NumPy fancy-assignment semantics) — batched callers rely on this
-        for last-write-wins.  No bounds check (see :meth:`read_slots`)."""
+        Duplicate slot ids resolve to the value latest in flattened (C)
+        order — batched callers rely on this for last-write-wins.  NumPy's
+        fancy assignment walks its index array in memory order, so both
+        arguments are first laid out in C order (a copy only for views
+        such as reversed or transposed blocks).  No bounds check (see
+        :meth:`read_slots`)."""
+        slots = np.ascontiguousarray(slots)
         values = np.asarray(values, dtype=self.dtype)
+        if values.shape != slots.shape:
+            values = np.broadcast_to(values, slots.shape)
+        values = np.ascontiguousarray(values)
         flat = self._data.reshape(self.read_ports, -1)
         for replica in range(self.read_ports):
             flat[replica][slots] = values

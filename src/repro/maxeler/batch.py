@@ -5,8 +5,10 @@ A kernel that can fast-forward publishes a :class:`BatchPlan` describing a
 behaviour is one element per port per cycle, decomposed into
 :class:`BatchOp` sub-activities.  The simulator collects plans from every
 kernel (registration order), validates that a chunk of ``n`` cycles is
-safe against stream occupancy/headroom, orders the sub-activities along
-the dataflow dependencies, and executes each as one vectorized call.
+safe against stream occupancy (net flow: a stream both pushed and popped
+in the chunk keeps its occupancy every cycle), orders the sub-activities
+along the dataflow dependencies, and executes each as one vectorized
+call on whole blocks of stream elements.
 
 Why sub-activities instead of fast-forwarding whole kernels one after
 another?  Feedback loops.  In Fig. 9's STREAM design the controller

@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterable
 
+import numpy as np
+
 from ..core.exceptions import SimulationError
 from ..telemetry import context as _telemetry
 from .dfe import DFE
@@ -110,31 +112,36 @@ class Host:
         nbytes = getattr(value, "nbytes", None)
         return int(nbytes) if nbytes is not None else 8
 
-    def write_stream(self, name: str, values: Iterable[Any]) -> int:
+    def write_stream(self, name: str, values: Iterable[Any] | np.ndarray) -> int:
         """Blocking host->DFE transfer into input stream *name*.
 
+        *values* is an iterable of elements or one ndarray block of ring
+        rows (e.g. ``(n, lanes)`` uint64 lane vectors), charged its real
+        byte count — the same payload as the rows sent one by one.
         Returns the element count.
         """
         with self._host_call("write_stream", stream=name):
             stream = self.dfe.manager.host_input(name)
-            count = 0
-            payload = 0
-            for value in values:
-                stream.push(value)
-                payload += self._element_bytes(value)
-                count += 1
-            self._charge_pcie(payload_bytes=payload)
-        return count
+            if not isinstance(values, np.ndarray):
+                values = list(values)
+            stream.push_many(values)
+            self._charge_pcie(payload_bytes=self._payload(values))
+        return len(values)
 
-    def read_stream(self, name: str) -> list[Any]:
-        """Blocking DFE->host drain of output stream *name*."""
+    def read_stream(self, name: str) -> list[Any] | np.ndarray:
+        """Blocking DFE->host drain of output stream *name*: the drained
+        block (an ndarray for typed streams, a list for untyped ones)."""
         with self._host_call("read_stream", stream=name):
             stream = self.dfe.manager.host_output(name)
             values = stream.drain()
-            self._charge_pcie(
-                payload_bytes=sum(self._element_bytes(v) for v in values)
-            )
+            self._charge_pcie(payload_bytes=self._payload(values))
         return values
+
+    @classmethod
+    def _payload(cls, values) -> int:
+        if isinstance(values, np.ndarray) and values.dtype != object:
+            return int(values.nbytes)
+        return sum(cls._element_bytes(v) for v in values)
 
     def signal(self) -> None:
         """A payload-free control call (mode/size scalars)."""

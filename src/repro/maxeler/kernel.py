@@ -26,6 +26,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Callable, Iterable
 
+import numpy as np
+
 from ..core.exceptions import SimulationError
 from .batch import IDLE_PLAN, UNSET, BatchOp, BatchPlan, PushClaim
 from .stream import Stream
@@ -468,11 +470,11 @@ def _uniform_select(sel_s: Stream, ctx: dict) -> tuple[Any, int | None] | None:
     value = claim.value if claim is not None else UNSET
     bound: int | None = None
     if value is UNSET:
-        if not queued:
+        if not len(queued):
             return None
         value = queued[0]
         # beyond the queued prefix the select values are unknown
         bound = len(queued)
-    if any(q != value for q in queued):
+    if len(queued) and (np.asarray(queued) != value).any():
         return None
     return value, bound

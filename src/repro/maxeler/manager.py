@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from ..core.exceptions import SimulationError
 from .kernel import Kernel
-from .stream import Stream
+from .stream import OBJECTS, Layout, Stream
 
 __all__ = ["Manager", "DesignResources"]
 
@@ -78,33 +78,39 @@ class Manager:
         dst: Kernel,
         dst_port: str,
         capacity: int = 16,
+        layout: Layout = OBJECTS,
     ) -> Stream:
-        """Create a stream from *src.src_port* to *dst.dst_port*."""
+        """Create a stream from *src.src_port* to *dst.dst_port*, storing
+        its elements per *layout* (:mod:`repro.maxeler.stream`)."""
         self._check_mutable()
         self._check_registered(src)
         self._check_registered(dst)
         name = f"{src.name}.{src_port}->{dst.name}.{dst_port}"
-        stream = Stream(name, capacity)
+        stream = Stream(name, capacity, layout)
         src.bind_output(src_port, stream)
         dst.bind_input(dst_port, stream)
         self.streams[name] = stream
         return stream
 
-    def host_to_kernel(self, name: str, dst: Kernel, dst_port: str) -> Stream:
+    def host_to_kernel(
+        self, name: str, dst: Kernel, dst_port: str, layout: Layout = OBJECTS
+    ) -> Stream:
         """An unbounded stream the host writes and *dst* reads (PCIe in)."""
         self._check_mutable()
         self._check_registered(dst)
-        stream = Stream(f"host->{name}", capacity=None)
+        stream = Stream(f"host->{name}", None, layout)
         dst.bind_input(dst_port, stream)
         self.streams[stream.name] = stream
         self._host_inputs[name] = stream
         return stream
 
-    def kernel_to_host(self, name: str, src: Kernel, src_port: str) -> Stream:
+    def kernel_to_host(
+        self, name: str, src: Kernel, src_port: str, layout: Layout = OBJECTS
+    ) -> Stream:
         """An unbounded stream *src* writes and the host drains (PCIe out)."""
         self._check_mutable()
         self._check_registered(src)
-        stream = Stream(f"{name}->host", capacity=None)
+        stream = Stream(f"{name}->host", None, layout)
         src.bind_output(src_port, stream)
         self.streams[stream.name] = stream
         self._host_outputs[name] = stream

@@ -17,11 +17,16 @@ Two engines share that contract:
     Fast-forwards *uniform phases*: when every kernel publishes a
     :class:`~repro.maxeler.batch.BatchPlan` proving one-element-per-cycle
     behaviour, a chunk of ``n`` cycles runs as a handful of vectorized
-    sub-activity calls.  The chunk size is bounded by every stream's
-    headroom/occupancy, every plan's phase length, the remaining cycle
-    budget and the ``until`` condition's flip horizon, so the observable
-    state at every chunk boundary — stream contents, kernel state, cycle
-    and utilization counters — is bit-identical to the scalar path.
+    sub-activity calls.  A stream with an in-chunk producer and consumer
+    keeps a constant occupancy cycle by cycle (net flow zero), so it only
+    has to admit the first cycle — a forward edge needs a free slot, a
+    backward edge a queued element — and its ring holds the chunk in
+    transit.  The chunk size is bounded by the occupancy of streams only
+    popped and the free space of streams only pushed, every plan's phase
+    length, the remaining cycle budget and the ``until`` condition's flip
+    horizon, so the observable state at every chunk boundary — stream
+    contents, kernel state, cycle and utilization counters — is
+    bit-identical to the scalar path.
     Anywhere a plan cannot be proven (ramp-up, stalls, drains, data-
     dependent routing), the engine falls back to scalar ticks, keeping
     quiescence/deadlock detection semantics unchanged.
@@ -312,19 +317,26 @@ class Simulator:
                 if stream is not None and stream in consumer:
                     return None
 
-        # stream feasibility: consumers without an in-chunk producer are
-        # bounded by occupancy; a backward edge (producer registered after
-        # its consumer) needs one queued element of slack; every in-chunk
-        # push must fit the stream's free space, as sub-activities push a
-        # whole chunk before the downstream activity pops it
+        # stream feasibility (net flow): a stream moved by an in-chunk
+        # producer and consumer keeps its occupancy every cycle, so only
+        # the first cycle must be admissible in the scalar tick order — a
+        # forward edge (producer ticks first) needs a free slot, a backward
+        # edge (consumer ticks first) a queued element, an intra-kernel
+        # edge both.  Consumers without an in-chunk producer are bounded by
+        # occupancy, producers without an in-chunk consumer by free space.
+        transit = []
         for stream, op in consumer.items():
             prod = producer.get(stream)
             if prod is None:
                 n = min(n, len(stream))
-            elif prod._kidx > op._kidx and len(stream) < 1:
+                continue
+            if prod._kidx >= op._kidx and len(stream) < 1:
                 return None
+            if prod._kidx <= op._kidx and stream.full:
+                return None
+            transit.append(stream)
         for stream in producer:
-            if stream.capacity is not None:
+            if stream.capacity is not None and stream not in consumer:
                 n = min(n, stream.capacity - len(stream))
         if n < MIN_CHUNK:
             return None
@@ -335,18 +347,33 @@ class Simulator:
         for kernel, plan in plans:
             if plan.validate is not None and not plan.validate(n):
                 return None
-        return plans, order, n
+        return plans, order, n, transit
 
-    def _run_chunk(self, plans, order, n: int) -> None:
+    def _run_chunk(self, plans, order, n: int, transit) -> None:
         tel = _telemetry.active()
         tracer = tel.tracer if tel is not None else None
         if tracer is not None:
             tracer.begin("segment.batched", cat="sim", cycles=n)
         clock = time.perf_counter_ns
-        for op in order:
-            t0 = clock()
-            op.run(n)
-            op._kernel.wall_ns += clock() - t0
+        # producers run before consumers, so a transit stream briefly
+        # holds up to occupancy + n elements; it must end where it began
+        occupancy = [len(stream) for stream in transit]
+        for stream in transit:
+            stream._transit = True
+        try:
+            for op in order:
+                t0 = clock()
+                op.run(n)
+                op._kernel.wall_ns += clock() - t0
+        finally:
+            for stream in transit:
+                stream._transit = False
+        for stream, before in zip(transit, occupancy):
+            if len(stream) != before:
+                raise SimulationError(
+                    f"stream {stream.name!r}: a {n}-cycle chunk moved its "
+                    f"occupancy from {before} to {len(stream)}"
+                )
         for kernel, plan in plans:
             kernel._charge(n, plan.is_active)
         self.cycles += n

@@ -14,23 +14,39 @@ Stream protocol
   :class:`~repro.core.agu.AccessRequest`.
 * ``rd_out{r}`` — per read port, lane-ordered result vectors, emerging
   ``read_latency`` cycles after the command entered.
+
+Command streams may be typed: :data:`READ_COMMANDS` and
+:func:`write_commands` store a command as one structured record (kind,
+i, j and stride columns, plus the lane payload for writes), and
+:func:`command_block` builds a block of them for the batched engine.  A
+scalar pop of a typed command stream still yields the element objects.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from ..core.agu import AccessRequest
 from ..core.config import PolyMemConfig
+from ..core.exceptions import SimulationError
+from ..core.patterns import PatternKind
 from ..core.polymem import PolyMem
 from ..maxeler.batch import IDLE_PLAN, BatchOp, BatchPlan
 from ..maxeler.kernel import Kernel
+from ..maxeler.stream import Layout, Stream
 from ..program import AccessProgram, slot_disjoint
 
-__all__ = ["WriteCommand", "FusedPolyMemKernel", "DEFAULT_READ_LATENCY"]
+__all__ = [
+    "WriteCommand",
+    "FusedPolyMemKernel",
+    "DEFAULT_READ_LATENCY",
+    "READ_COMMANDS",
+    "write_commands",
+    "command_block",
+]
 
 #: pipeline depth of the synthesized design, estimated by Maxeler's tools
 #: for the paper's STREAM experiment (§V)
@@ -47,6 +63,88 @@ class WriteCommand:
 
     request: AccessRequest
     values: np.ndarray
+
+
+# -- typed command streams ---------------------------------------------------
+
+_KINDS = tuple(PatternKind)
+_KIND_CODE = {kind: code for code, kind in enumerate(_KINDS)}
+_COMMAND_FIELDS = [
+    ("kind", np.uint8),
+    ("i", np.int64),
+    ("j", np.int64),
+    ("stride", np.int64),
+]
+
+
+def _encode_read(req: AccessRequest) -> tuple:
+    return (_KIND_CODE[req.kind], req.i, req.j, req.stride)
+
+
+def _decode_request(row) -> AccessRequest:
+    kind, i, j, stride = row.item()
+    return AccessRequest(_KINDS[kind], i, j, stride)
+
+
+#: read-command streams: one (kind, i, j, stride) record per command
+READ_COMMANDS = Layout(
+    "read_cmd", np.dtype(_COMMAND_FIELDS), _encode_read, _decode_request
+)
+
+
+def _encode_write(cmd: WriteCommand) -> tuple:
+    return _encode_read(cmd.request) + (cmd.values,)
+
+
+def _decode_write(row) -> WriteCommand:
+    # .item() yields the payload as a view of the ring slot: copy it
+    kind, i, j, stride, values = row.item()
+    return WriteCommand(AccessRequest(_KINDS[kind], i, j, stride), values.copy())
+
+
+@lru_cache(maxsize=None)
+def write_commands(lanes: int) -> Layout:
+    """Write-command streams: a command record plus its ``(lanes,)``
+    uint64 payload."""
+    dtype = np.dtype(_COMMAND_FIELDS + [("values", np.uint64, (lanes,))])
+    return Layout(f"write_cmd{lanes}", dtype, _encode_write, _decode_write)
+
+
+def command_block(kind: PatternKind, ai, aj, values=None) -> np.ndarray:
+    """A block of unit-stride *kind* commands anchored at ``(ai, aj)``:
+    read records, or write records when *values* (``(n, lanes)``) is
+    given."""
+    if values is None:
+        block = np.empty(len(ai), READ_COMMANDS.dtype)
+    else:
+        block = np.empty(len(ai), write_commands(values.shape[1]).dtype)
+        block["values"] = values
+    block["kind"] = _KIND_CODE[kind]
+    block["i"] = ai
+    block["j"] = aj
+    block["stride"] = 1
+    return block
+
+
+def _block_access(block: np.ndarray):
+    """``(kind, ai, aj)`` of a command block popped by a batched accept:
+    the batched memory path runs one unit-stride kind per block."""
+    kinds = block["kind"]
+    if (kinds != kinds[0]).any() or (block["stride"] != 1).any():
+        raise SimulationError("batched command block mixes access kinds or strides")
+    return _KINDS[kinds[0]], block["i"], block["j"]
+
+
+def _pipe_decode(row) -> tuple[int, np.ndarray]:
+    stamp, data = row.item()
+    return stamp, data.copy()
+
+
+@lru_cache(maxsize=None)
+def _pipe_layout(lanes: int, word: np.dtype) -> Layout:
+    """A read pipeline slot: issue cycle plus the ``(lanes,)`` result."""
+    dtype = np.dtype([("stamp", np.int64), ("data", word, (lanes,))])
+    return Layout(f"pipe{lanes}", dtype, decode=_pipe_decode)
 
 
 class FusedPolyMemKernel(Kernel):
@@ -69,16 +167,18 @@ class FusedPolyMemKernel(Kernel):
         self.memory = PolyMem(config, collision_policy=collision_policy)
         self.read_latency = read_latency
         self._now = 0
-        # per-port in-flight pipelines of (issue_cycle, result_vector)
-        self._pipes: list[deque[tuple[int, np.ndarray]]] = [
-            deque() for _ in range(config.read_ports)
+        # per-port in-flight pipelines: rings of (issue_cycle, result) rows
+        pipe = _pipe_layout(config.lanes, self.memory.banks.dtype)
+        self._pipes = [
+            Stream(f"{name}.pipe{port}", read_latency, pipe)
+            for port in range(config.read_ports)
         ]
         # batched-chunk scratch: per-port results accepted this chunk,
-        # per-chunk claims, and the step-counter compensation flag
-        self._accepted: dict[int, list[np.ndarray]] = {}
+        # per-chunk claims, and the accesses per cycle the chunk plans
+        self._accepted: dict[int, np.ndarray] = {}
         self._rd_claims: dict[int, object] = {}
         self._wr_claim = None
-        self._chunk_accesses = 0
+        self._planned_accesses = 0
 
     def _tick(self) -> bool:
         self._now += 1
@@ -91,10 +191,10 @@ class FusedPolyMemKernel(Kernel):
             if (
                 pipe
                 and out is not None
-                and pipe[0][0] + self.read_latency <= self._now
+                and pipe.peek()[0] + self.read_latency <= self._now
                 and out.can_push()
             ):
-                out.push(pipe.popleft()[1])
+                out.push(pipe.pop()[1])
                 progressed = True
         # 2) accept one command per port; reads and the write share a cycle
         reads: list[tuple[int, AccessRequest]] = []
@@ -117,7 +217,7 @@ class FusedPolyMemKernel(Kernel):
             )
             for port, _ in reads:
                 self.inputs[f"rd_cmd{port}"].pop()
-                self._pipes[port].append((self._now, results[port]))
+                self._pipes[port].push((self._now, results[port]))
             if write is not None:
                 wr.pop()
             progressed = True
@@ -141,33 +241,33 @@ class FusedPolyMemKernel(Kernel):
     # consecutive stamps and an exactly-ripe head, and the chunk's reads
     # and writes touch disjoint memory slots (so read-before-write
     # ordering inside the chunk is unobservable and all collision
-    # policies coincide).
+    # policies coincide).  Commands, results and pipes move as blocks.
 
-    def _pop_cmds_read(self, port: int, n: int) -> None:
+    def _read_rows(self, port: int, n: int) -> np.ndarray:
         """Accept n read commands on *port* and execute them vectorized
-        against the pre-chunk memory state."""
-        self.inputs[f"rd_cmd{port}"].pop_many(n)
-        kind, ai, aj = self._rd_claims[port].anchors(n)
-        rows = self.memory.read_batch(kind, ai, aj, port=port, check=True)
-        self._chunk_accesses += 1
-        self._accepted[port] = list(rows)
+        against the pre-chunk memory state: the ``(n, lanes)`` results."""
+        kind, ai, aj = _block_access(self.inputs[f"rd_cmd{port}"].pop_many(n))
+        return self.memory.read_batch(kind, ai, aj, port=port, check=True)
+
+    def _stamped(self, first: int, data: np.ndarray) -> np.ndarray:
+        """Pipe rows for *data* with consecutive stamps from *first*."""
+        block = np.empty(len(data), self._pipes[0].layout.dtype)
+        block["stamp"] = first + np.arange(len(data))
+        block["data"] = data
+        return block
 
     def _accept_fill(self, port: int):
-        # pipe empty at chunk start: n <= latency commands enter, nothing
+        # pipe filling: n commands enter behind the queued ones, nothing
         # ripens inside the window
         def run(n: int) -> None:
-            self._pop_cmds_read(port, n)
-            rows = self._accepted.pop(port)
-            base = self._now
-            self._pipes[port] = deque(
-                (base + t + 1, rows[t]) for t in range(n)
-            )
+            rows = self._read_rows(port, n)
+            self._pipes[port].push_many(self._stamped(self._now + 1, rows))
 
         return run
 
     def _accept_steady(self, port: int):
         def run(n: int) -> None:
-            self._pop_cmds_read(port, n)
+            self._accepted[port] = self._read_rows(port, n)
 
         return run
 
@@ -175,32 +275,27 @@ class FusedPolyMemKernel(Kernel):
         # full pipe + accepted results have consecutive stamps: n cycles
         # retire the first n, keep the last `read_latency`
         def run(n: int) -> None:
-            values = [v for _, v in self._pipes[port]]
-            values.extend(self._accepted.pop(port))
+            pipe = self._pipes[port]
+            values = np.concatenate(
+                (pipe.pop_many(len(pipe))["data"], self._accepted.pop(port))
+            )
             self.outputs[f"rd_out{port}"].push_many(values[:n])
             first = self._now + 1 - self.read_latency
-            self._pipes[port] = deque(
-                (first + m, values[m])
-                for m in range(n, n + self.read_latency)
-            )
+            pipe.push_many(self._stamped(first + n, values[n:]))
 
         return run
 
     def _retire_drain(self, port: int):
         def run(n: int) -> None:
-            pipe = self._pipes[port]
-            self.outputs[f"rd_out{port}"].push_many(
-                [pipe.popleft()[1] for _ in range(n)]
-            )
+            rows = self._pipes[port].pop_many(n)["data"]
+            self.outputs[f"rd_out{port}"].push_many(rows)
 
         return run
 
     def _accept_write(self, n: int) -> None:
-        cmds = self.inputs["wr_cmd"].pop_many(n)
-        values = np.stack([c.values for c in cmds])
-        kind, ai, aj = self._wr_claim.anchors(n)
-        self.memory.write_batch(kind, ai, aj, values, check=True)
-        self._chunk_accesses += 1
+        block = self.inputs["wr_cmd"].pop_many(n)
+        kind, ai, aj = _block_access(block)
+        self.memory.write_batch(kind, ai, aj, block["values"], check=True)
 
     def _advance(self, n: int) -> None:
         """Last sub-activity of every chunk: advance local time and undo
@@ -215,16 +310,12 @@ class FusedPolyMemKernel(Kernel):
     def _ripe_prefix(self, port: int) -> int:
         """Length of the pipe prefix retiring one element per cycle from
         the next tick on (consecutive stamps from an exactly-ripe head)."""
-        pipe = self._pipes[port]
-        head = pipe[0][0]
+        stamps = self._pipes[port].peek_many()["stamp"]
+        head = int(stamps[0])
         if head + self.read_latency != self._now + 1:
             return 0
-        run = 0
-        for stamp, _ in pipe:
-            if stamp != head + run:
-                break
-            run += 1
-        return run
+        gaps = np.flatnonzero(stamps != head + np.arange(len(stamps)))
+        return int(gaps[0]) if len(gaps) else len(stamps)
 
     def batch_plan(self, ctx: dict) -> BatchPlan | None:
         latency = self.read_latency
@@ -234,7 +325,6 @@ class FusedPolyMemKernel(Kernel):
         cycles: int | None = None
         self._rd_claims = {}
         self._wr_claim = None
-        self._chunk_accesses = 0
         engaged = any(self._pipes)
 
         for port in range(self.config.read_ports):
@@ -246,10 +336,20 @@ class FusedPolyMemKernel(Kernel):
             if claim is not None:
                 if out_s is None or len(cmd_s) > 0:
                     return None  # command backlog: irregular, keep scalar
-                if getattr(claim, "anchors", None) is None:
+                if (
+                    getattr(claim, "anchors", None) is None
+                    or cmd_s.layout is not READ_COMMANDS
+                ):
                     return None  # untyped producer: cannot prove the chunk
                 self._rd_claims[port] = claim
-                if not pipe:
+                if len(pipe) < latency:
+                    # filling: accept while the pipe has room and its
+                    # head has not ripened
+                    room = latency - len(pipe)
+                    if pipe:
+                        room = min(room, pipe.peek()[0] + latency - self._now - 1)
+                    if room < 1:
+                        return None
                     ops.append(
                         BatchOp(
                             f"accept{port}",
@@ -257,8 +357,8 @@ class FusedPolyMemKernel(Kernel):
                             pops=(cmd_name,),
                         )
                     )
-                    cycles = _bound(cycles, latency)
-                elif len(pipe) == latency and self._ripe_prefix(port) == latency:
+                    cycles = _bound(cycles, room)
+                elif self._ripe_prefix(port) == latency:
                     ops.append(
                         BatchOp(
                             f"accept{port}",
@@ -294,7 +394,7 @@ class FusedPolyMemKernel(Kernel):
                         )
                         cycles = _bound(cycles, prefix)
                     else:
-                        wait = pipe[0][0] + latency - self._now - 1
+                        wait = pipe.peek()[0] + latency - self._now - 1
                         if wait < 1:
                             return None  # overdue head (stalled): scalar
                         cycles = _bound(cycles, wait)
@@ -304,7 +404,10 @@ class FusedPolyMemKernel(Kernel):
         if wr_claim is not None:
             if len(wr_s) > 0:
                 return None
-            if getattr(wr_claim, "anchors", None) is None:
+            if (
+                getattr(wr_claim, "anchors", None) is None
+                or wr_s.layout is not write_commands(self.config.lanes)
+            ):
                 return None
             self._wr_claim = wr_claim
             write_ops.append(
@@ -351,9 +454,9 @@ class FusedPolyMemKernel(Kernel):
 
         Lowers the chunk's claims to a describe-only
         :class:`AccessProgram` and delegates to
-        :func:`repro.program.slot_disjoint` — one sort of the write slots
-        plus a searchsorted probe per read claim, slot ids straight from
-        the compiled access plans.
+        :func:`repro.program.slot_disjoint` — the write slots marked in
+        one boolean map, each read claim probed against it, slot ids
+        straight from the compiled access plans.
         """
         if self._wr_claim is None:
             return True

@@ -52,26 +52,35 @@ def slot_disjoint(program: AccessProgram, memory) -> bool:
     bit-identical to per-cycle stepping.
 
     *memory* is one :class:`PolyMem` (applied to every op) or a mapping
-    of memory names to PolyMems.  The test is one sort of the write slots
-    plus a searchsorted probe per read op — no set construction.
+    of memory names to PolyMems.  The test marks every write slot in one
+    boolean map per memory (a repeated slot leaves fewer marks than
+    writes) and probes each read op against its memory's map — linear in
+    the accesses plus the memory size, no sort.
     """
 
     def mem_of(op: AccessOp) -> PolyMem:
         return memory if isinstance(memory, PolyMem) else memory[op.mem]
 
-    writes = [op for op in program.access_ops if isinstance(op, ParallelWrite)]
-    if not writes:
-        return True
-    wr_slots = np.sort(
-        np.concatenate([op_slots(op, mem_of(op)).ravel() for op in writes])
-    )
-    if (wr_slots[1:] == wr_slots[:-1]).any():
+    marks: dict[int, np.ndarray] = {}  # per memory: written slots
+    written: dict[int, int] = {}  # per memory: write count
+    for op in program.access_ops:
+        if not isinstance(op, ParallelWrite):
+            continue
+        mem = mem_of(op)
+        key = id(mem)
+        if key not in marks:
+            marks[key] = np.zeros(mem.banks.words_per_replica, dtype=bool)
+            written[key] = 0
+        slots = op_slots(op, mem).ravel()
+        marks[key][slots] = True
+        written[key] += slots.size
+    if any(np.count_nonzero(marks[key]) != written[key] for key in marks):
         return False  # overlapping writes: sequential semantics differ
     for op in program.access_ops:
         if not isinstance(op, ParallelRead):
             continue
-        rd_slots = op_slots(op, mem_of(op)).ravel()
-        pos = np.minimum(np.searchsorted(wr_slots, rd_slots), wr_slots.size - 1)
-        if (wr_slots[pos] == rd_slots).any():
+        mem = mem_of(op)
+        mark = marks.get(id(mem))
+        if mark is not None and mark[op_slots(op, mem).ravel()].any():
             return False  # a read would observe an in-chunk write
     return True

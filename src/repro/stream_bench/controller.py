@@ -39,7 +39,15 @@ from ..maxeler.conditions import RunCondition
 from ..maxeler.dfe import DFE, VectisBoard
 from ..maxeler.kernel import DemuxKernel, Kernel, MuxKernel
 from ..maxeler.manager import Manager
-from ..maxpolymem.kernel import DEFAULT_READ_LATENCY, FusedPolyMemKernel, WriteCommand
+from ..maxeler.stream import WORDS, lane_rows
+from ..maxpolymem.kernel import (
+    DEFAULT_READ_LATENCY,
+    READ_COMMANDS,
+    FusedPolyMemKernel,
+    WriteCommand,
+    command_block,
+    write_commands,
+)
 from ..program import AccessProgram
 
 __all__ = [
@@ -54,6 +62,12 @@ __all__ = [
 
 def _bound(current: int | None, new: int) -> int:
     return new if current is None else min(current, new)
+
+
+def _words(value: int, n: int) -> np.ndarray:
+    """A block of *n* identical select words."""
+    return np.full(n, value, dtype=np.int64)
+
 
 #: MUX input indices (Fig. 9 left side)
 MUX_A, MUX_B, MUX_C, MUX_FEEDBACK = 0, 1, 2, 3
@@ -380,7 +394,8 @@ class StreamController(Kernel):
     # -- batched execution ---------------------------------------------------
     #
     # Each sub-activity of `_tick_load`/`_tick_feedback`/`_tick_offload`
-    # becomes a BatchOp moving exactly one element per port per cycle.
+    # becomes a BatchOp moving exactly one element per port per cycle, as
+    # whole blocks: lane-vector slices, select words and command records.
     # Command streams carry PushClaims: `mux_select`/`demux_select` claim
     # their uniform value (so the MUX/DEMUX can plan the routing) and the
     # PolyMem command streams claim their access anchors (so the memory
@@ -408,7 +423,7 @@ class StreamController(Kernel):
         start = self._reads_issued
 
         def run(n: int) -> None:
-            self.outputs["mux_select"].push_many([job.array] * n)
+            self.outputs["mux_select"].push_many(_words(job.array, n))
             self._reads_issued = start + n
 
         return run
@@ -420,10 +435,7 @@ class StreamController(Kernel):
             for port, array in enumerate(src_arrays):
                 kind, ai, aj = self._vec_anchors(array, start, n)
                 self.outputs[f"rd_cmd{port}"].push_many(
-                    [
-                        AccessRequest(kind, i, j)
-                        for i, j in zip(ai.tolist(), aj.tolist())
-                    ]
+                    command_block(kind, ai, aj)
                 )
             self._reads_issued = start + n
 
@@ -431,13 +443,9 @@ class StreamController(Kernel):
 
     def _combine_run(self, nports: int, combine):
         def run(n: int) -> None:
-            vecs = [
-                np.stack(self.inputs[f"rd_data{p}"].pop_many(n))
-                for p in range(nports)
-            ]
-            out = np.asarray(combine(*vecs))
-            self.outputs["feedback"].push_many(list(out))
-            self.outputs["mux_select"].push_many([MUX_FEEDBACK] * n)
+            vecs = [self.inputs[f"rd_data{p}"].pop_many(n) for p in range(nports)]
+            self.outputs["feedback"].push_many(combine(*vecs))
+            self.outputs["mux_select"].push_many(_words(MUX_FEEDBACK, n))
 
         return run
 
@@ -448,12 +456,7 @@ class StreamController(Kernel):
         def run(n: int) -> None:
             vecs = self.inputs["wr_data"].pop_many(n)
             kind, ai, aj = anchors(n)
-            self.outputs["wr_cmd"].push_many(
-                [
-                    WriteCommand(AccessRequest(kind, i, j), vec)
-                    for i, j, vec in zip(ai.tolist(), aj.tolist(), vecs)
-                ]
-            )
+            self.outputs["wr_cmd"].push_many(command_block(kind, ai, aj, vecs))
             self._finish_writes(job, start + n)
 
         return BatchOp(
@@ -468,9 +471,8 @@ class StreamController(Kernel):
         start = self._writes_done
 
         def run(n: int) -> None:
-            data = self.inputs["rd_data0"].pop_many(n)
-            self.outputs["demux_data"].push_many(data)
-            self.outputs["demux_select"].push_many([job.array] * n)
+            self.outputs["demux_data"].push_many(self.inputs["rd_data0"].pop_many(n))
+            self.outputs["demux_select"].push_many(_words(job.array, n))
             self._finish_writes(job, start + n)
 
         return run
@@ -682,32 +684,36 @@ def build_stream_design(
         # (measured, size-independent — see tests/stream_bench)
         effective_latency = 1
 
+    # stream layouts: lane vectors, select words and command records; the
+    # job stream stays untyped
+    lanes = lane_rows(config.lanes)
     # host -> controller job stream; host -> MUX array inputs
     mgr.host_to_kernel("job", controller, "job")
-    mgr.host_to_kernel("a_in", mux, "in0")
-    mgr.host_to_kernel("b_in", mux, "in1")
-    mgr.host_to_kernel("c_in", mux, "in2")
+    mgr.host_to_kernel("a_in", mux, "in0", lanes)
+    mgr.host_to_kernel("b_in", mux, "in1", lanes)
+    mgr.host_to_kernel("c_in", mux, "in2", lanes)
     # controller <-> MUX
-    mgr.connect(controller, "feedback", mux, "in3", capacity=64)
-    mgr.connect(controller, "mux_select", mux, "select", capacity=64)
-    mgr.connect(mux, "out", controller, "wr_data", capacity=64)
+    mgr.connect(controller, "feedback", mux, "in3", 64, lanes)
+    mgr.connect(controller, "mux_select", mux, "select", 64, WORDS)
+    mgr.connect(mux, "out", controller, "wr_data", 64, lanes)
     # controller <-> PolyMem
-    mgr.connect(controller, "wr_cmd", *wr_ep, capacity=64)
+    mgr.connect(controller, "wr_cmd", *wr_ep, 64, write_commands(config.lanes))
     for port in range(config.read_ports):
-        mgr.connect(controller, f"rd_cmd{port}", *rd_cmd_eps[port], capacity=64)
+        mgr.connect(controller, f"rd_cmd{port}", *rd_cmd_eps[port], 64, READ_COMMANDS)
         mgr.connect(
             rd_out_eps[port][0],
             rd_out_eps[port][1],
             controller,
             f"rd_data{port}",
-            capacity=64,
+            64,
+            lanes,
         )
     # controller -> DEMUX -> host
-    mgr.connect(controller, "demux_data", demux, "in", capacity=64)
-    mgr.connect(controller, "demux_select", demux, "select", capacity=64)
-    mgr.kernel_to_host("a_out", demux, "out0")
-    mgr.kernel_to_host("b_out", demux, "out1")
-    mgr.kernel_to_host("c_out", demux, "out2")
+    mgr.connect(controller, "demux_data", demux, "in", 64, lanes)
+    mgr.connect(controller, "demux_select", demux, "select", 64, WORDS)
+    mgr.kernel_to_host("a_out", demux, "out0", lanes)
+    mgr.kernel_to_host("b_out", demux, "out1", lanes)
+    mgr.kernel_to_host("c_out", demux, "out2", lanes)
 
     dfe = DFE(mgr, clock_mhz=clock_mhz, board=board, max_cycles=100_000_000)
     return StreamDesign(

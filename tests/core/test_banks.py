@@ -107,3 +107,39 @@ class TestBulkOps:
             a = rng.integers(0, 16, n)
             banks.write(b, a, rng.integers(0, 1000, n))
         assert banks.replicas_consistent()
+
+
+class TestFlatSlots:
+    """``write_slots`` resolves duplicate slot ids to the value latest in
+    flattened (C) order, whatever the memory layout of its arguments."""
+
+    @staticmethod
+    def _sequential(slots, values):
+        ref = BankArray(num_banks=8, bank_depth=16, read_ports=2)
+        flat_slots = np.asarray(slots).reshape(-1).tolist()
+        flat_values = np.asarray(values).reshape(-1).tolist()
+        for slot, value in zip(flat_slots, flat_values):
+            bank, addr = divmod(slot, 16)
+            ref.write(np.array([bank]), np.array([addr]), np.array([value]))
+        return ref
+
+    @pytest.mark.parametrize("view", ["reversed", "transposed", "strided"])
+    def test_views_keep_last_write_wins(self, banks, view):
+        rows = np.array([[3, 7, 3, 100], [7, 3, 127, 3], [100, 3, 7, 7]])
+        vals = np.arange(1, 13, dtype=np.uint64).reshape(3, 4)
+        if view == "reversed":
+            slots, values = rows[::-1], vals[::-1]
+        elif view == "transposed":
+            slots, values = rows.T, vals.T
+        else:
+            slots, values = rows[:, ::2], vals[:, ::2]
+        assert not slots.flags.c_contiguous
+        banks.write_slots(slots, values)
+        ref = self._sequential(slots, values)
+        assert (banks.snapshot(0) == ref.snapshot(0)).all()
+        assert (banks.snapshot(1) == ref.snapshot(1)).all()
+
+    def test_read_slots_gathers_flat_ids(self, banks):
+        banks.fill(np.arange(128, dtype=np.uint64).reshape(8, 16))
+        slots = np.array([[5, 17], [127, 0]])
+        assert (banks.read_slots(1, slots) == slots).all()
